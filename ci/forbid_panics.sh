@@ -18,7 +18,10 @@
 # must degrade through typed errors, never abort a campaign), and all of
 # crates/dpm-serve/src (a long-running service digesting hostile NDJSON
 # must answer with structured errors, never die mid-session — the
-# metrics exposition renderer/validator included), strips
+# metrics exposition renderer/validator included), and the vendored
+# serde and serde_json codec (vendor/serde/src, vendor/serde_json/src:
+# the JSON reader sits on every hostile-input boundary — NDJSON
+# requests, trace files, injected trace lines), strips
 # everything from the `#[cfg(test)]` marker onward
 # (test modules sit at the end of each file),
 # and fails if the remainder contains `.unwrap()`, `.expect(`, `panic!`,
@@ -33,6 +36,8 @@ for f in $(find crates/dpm-core/src -name '*.rs' | sort) \
     $(find crates/dpm-trace/src -name '*.rs' | sort) \
     $(find crates/dpm-broker/src -name '*.rs' | sort) \
     $(find crates/dpm-serve/src -name '*.rs' | sort) \
+    $(find vendor/serde/src -name '*.rs' | sort) \
+    $(find vendor/serde_json/src -name '*.rs' | sort) \
     crates/dpm-bench/src/runner.rs \
     crates/dpm-bench/src/campaign.rs \
     crates/dpm-bench/src/fleet.rs \
@@ -54,6 +59,6 @@ for f in $(find crates/dpm-core/src -name '*.rs' | sort) \
     fi
 done
 if [ "$status" -ne 0 ]; then
-    echo "non-test code in dpm-core, dpm-telemetry, the runner, the campaign, the simulation engine, and the fault generator must return typed errors instead of panicking (DESIGN.md §7–8)." >&2
+    echo "non-test code in dpm-core, dpm-telemetry, the runner, the campaign, the simulation engine, the fault generator, and the JSON codec must return typed errors instead of panicking (DESIGN.md §7–8)." >&2
 fi
 exit $status

@@ -359,6 +359,60 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_integers_are_typed_errors() {
+        let spec = |periods: &str, faults: &str| {
+            format!(
+                "{{\"Open\":{{\"session\":\"a\",\"spec\":{{\"scenario\":\"scenario-1\",\
+                 \"governor\":\"proposed\",\"periods\":{periods},\"initial_charge_j\":null,\
+                 \"phase_slots\":0,\"faults\":{faults}}}}}}}"
+            )
+        };
+        for line in [
+            "{\"Advance\":{\"session\":\"a\",\"slots\":-1}}".to_string(),
+            "{\"Advance\":{\"session\":\"a\",\"slots\":18446744073709551616}}".to_string(),
+            "{\"Advance\":{\"session\":\"a\",\"slots\":1.5}}".to_string(),
+            "{\"Advance\":{\"session\":\"a\",\"slots\":1e3}}".to_string(),
+            spec("-1", "[]"),
+            spec("1", "[[1,{\"EventBurst\":{\"count\":-3}}]]"),
+        ] {
+            let err = decode_request(&line).expect_err(&line);
+            assert!(matches!(err, ServeError::BadRequest(_)), "{line}: {err}");
+        }
+        // The extremes of the range still decode.
+        match decode_request("{\"Advance\":{\"session\":\"a\",\"slots\":18446744073709551615}}") {
+            Ok(Request::Advance { slots, .. }) => assert_eq!(slots, u64::MAX),
+            other => panic!("u64::MAX must decode, got {other:?}"),
+        }
+        match decode_request(&spec("0", "[]")) {
+            Ok(Request::Open { spec, .. }) => assert_eq!(spec.periods, 0),
+            other => panic!("0 must decode, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_even_in_skipped_keys() {
+        let deep = "[".repeat(100_000);
+        for line in [
+            deep.clone(),
+            format!("{{\"Open\":{{\"session\":\"a\",\"x\":{deep}}}}}"),
+            format!(
+                "{{\"Close\":{{\"session\":\"a\",\"x\":{deep}1{}}}}}",
+                "]".repeat(100_000)
+            ),
+        ] {
+            let err = decode_request(&line).expect_err("must fail");
+            assert!(matches!(err, ServeError::BadRequest(_)), "{err}");
+        }
+        // Unknown keys at legal depth are skipped.
+        let nested = format!("{}1{}", "[".repeat(100), "]".repeat(100));
+        let line = format!("{{\"Close\":{{\"x\":{nested},\"session\":\"a\"}}}}");
+        assert!(matches!(
+            decode_request(&line),
+            Ok(Request::Close { session }) if session == "a"
+        ));
+    }
+
+    #[test]
     fn responses_encode_to_single_lines() {
         let resp = Response::Advanced {
             session: "s0".into(),

@@ -132,6 +132,31 @@ fn stdio_transcripts_are_byte_identical_across_runs() {
     assert_eq!(out_a, out_b, "stdio transcripts must be byte-identical");
 }
 
+#[test]
+fn stdio_answers_hostile_nesting_with_errors_and_keeps_serving() {
+    let deep = "[".repeat(100_000);
+    let open = serde_json::to_string(&Request::Open {
+        session: "after".into(),
+        spec: SessionSpec::plain("scenario-1", "proposed", 1),
+    })
+    .expect("encode");
+    // The same deep value hidden in an unknown key, which the decoder
+    // skips but must still walk.
+    let hidden = format!("{{\"Open\":{{\"session\":\"x\",\"x\":{deep}}}}}");
+    let script = [deep.as_str(), &open, &hidden].join("\n");
+    let (code, transcript) = run_stdio(&script);
+    assert_eq!(code, 0, "stdio must survive deep nesting");
+    let replies: Vec<Response> = transcript
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("reply decodes"))
+        .collect();
+    assert!(
+        matches!(replies.as_slice(), [Response::Error { .. }, Response::Opened { .. }, Response::Error { message }]
+            if message.contains("nesting deeper than")),
+        "got {transcript}"
+    );
+}
+
 struct ServerHandle {
     child: Child,
     addr: String,
