@@ -256,10 +256,19 @@ mod tests {
         assert!((p0.value() - 0.25 * 0.546).abs() < 1e-12);
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "cannot activate")]
     fn board_power_rejects_too_many_processors() {
         pama_model().board_power(9, Hertz::from_mhz(20.0), volts(3.3));
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn board_power_clamps_too_many_processors_in_release() {
+        let m = pama_model();
+        let (f, v) = (Hertz::from_mhz(20.0), volts(3.3));
+        assert_eq!(m.board_power(9, f, v), m.board_power(8, f, v));
     }
 
     #[test]

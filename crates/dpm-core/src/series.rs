@@ -824,12 +824,20 @@ mod tests {
         assert_eq!(a.scale(2.0).values(), &[2.0, 4.0]);
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn zip_rejects_mismatched_lengths() {
         // `zip_with` guards alignment with debug_assert!, so the guard is
         // active under `cargo test` (debug profile).
         series(&[1.0]).pointwise_add(&series(&[1.0, 2.0]));
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn zip_truncates_mismatched_lengths_in_release() {
+        let sum = series(&[1.0]).pointwise_add(&series(&[1.0, 2.0]));
+        assert_eq!(sum, series(&[2.0]));
     }
 
     #[test]

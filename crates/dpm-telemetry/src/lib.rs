@@ -48,9 +48,9 @@ pub mod trace;
 pub use histogram::Histogram;
 pub use recorder::{Recorder, SpanGuard, DEFAULT_EVENT_CAPACITY};
 pub use trace::{
-    parse_profile_doc, parse_profile_jsonl, parse_trace_jsonl, CounterLine, Event, GaugeLine,
-    HistogramLine, ParseError, ProfileLine, SpanLine, SpanNodeLine, TraceLine, TraceMeta,
-    SCHEMA_VERSION,
+    parse_profile_doc, parse_profile_jsonl, parse_trace_jsonl, trace_jsonl_lines, CounterLine,
+    Event, GaugeLine, HistogramLine, ParseError, ProfileLine, SpanLine, SpanNodeLine, TraceLine,
+    TraceMeta, SCHEMA_VERSION,
 };
 
 // Compile-time thread-safety audit: recorders are shared across the

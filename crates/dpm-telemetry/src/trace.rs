@@ -164,24 +164,27 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parse a JSONL document where each non-blank line deserializes to `L`.
-fn parse_jsonl<L: Deserialize>(input: &str) -> Result<Vec<L>, ParseError> {
-    let mut out = Vec::new();
-    for (i, line) in input.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<L>(line) {
-            Ok(parsed) => out.push(parsed),
-            Err(e) => {
-                return Err(ParseError {
-                    line: i + 1,
-                    message: e.to_string(),
-                })
-            }
-        }
-    }
-    Ok(out)
+/// Decode a JSONL document lazily: one `L` per non-blank line, a failure
+/// naming its 1-based line number.
+fn jsonl_lines<L: Deserialize>(input: &str) -> impl Iterator<Item = Result<L, ParseError>> + '_ {
+    input
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            serde_json::from_str::<L>(line).map_err(|e| ParseError {
+                line: i + 1,
+                message: e.to_string(),
+            })
+        })
+}
+
+/// Decode a deterministic trace document one [`TraceLine`] at a time, for
+/// consumers that index lines as they arrive instead of holding them all.
+/// Blank lines are skipped; each item is the next non-blank line or the
+/// [`ParseError`] naming it.
+pub fn trace_jsonl_lines(input: &str) -> impl Iterator<Item = Result<TraceLine, ParseError>> + '_ {
+    jsonl_lines(input)
 }
 
 /// Parse a deterministic trace document (one [`TraceLine`] per non-blank
@@ -191,7 +194,7 @@ fn parse_jsonl<L: Deserialize>(input: &str) -> Result<Vec<L>, ParseError> {
 /// # Errors
 /// [`ParseError`] naming the first line that does not deserialize.
 pub fn parse_trace_jsonl(input: &str) -> Result<Vec<TraceLine>, ParseError> {
-    parse_jsonl(input)
+    trace_jsonl_lines(input).collect()
 }
 
 /// Parse a wall-clock profile document (one [`ProfileLine`] per non-blank
@@ -200,7 +203,7 @@ pub fn parse_trace_jsonl(input: &str) -> Result<Vec<TraceLine>, ParseError> {
 /// # Errors
 /// [`ParseError`] naming the first line that does not deserialize.
 pub fn parse_profile_jsonl(input: &str) -> Result<Vec<ProfileLine>, ParseError> {
-    parse_jsonl(input)
+    jsonl_lines(input).collect()
 }
 
 /// Parse a complete profile document, which since the hierarchical

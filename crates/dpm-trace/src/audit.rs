@@ -2,12 +2,11 @@
 //! (and DESIGN.md §9–10) guarantees about a run, and pinpoint the first
 //! line that breaks a guarantee as a `(scope, seq, slot)` triple.
 //!
-//! Since PR 9 the engine is **incremental**: [`AuditState`] consumes
-//! [`TraceLine`]s one at a time (the live `dpm-serve` path), flagging
-//! event-anchored violations on the very push that carries them, and
-//! [`audit`] is a thin loop that feeds a parsed [`Trace`] through the
-//! same state — batch and live verdicts share one code path and can
-//! never diverge.
+//! [`AuditState`] consumes [`TraceLine`]s one at a time (the live
+//! `dpm-serve` path), flagging event-anchored violations on the very push
+//! that carries them. One canonical pass produces both verdicts: the live
+//! one in [`AuditState::finish`] and the batch one in [`audit`], which
+//! borrows a parsed [`Trace`], copies no event and skips the online pass.
 //!
 //! Five invariant families:
 //!
@@ -43,23 +42,23 @@
 //! ## Online vs canonical verdicts
 //!
 //! [`AuditState::push`] returns the violations *newly observable* at that
-//! line using everything seen so far; [`AuditState::finish`] re-walks the
-//! retained per-scope buffers against the **final** gauge/counter maps and
-//! assembles the canonical [`AuditReport`] — byte-identical to what the
-//! whole-file [`audit`] always produced. The split exists because a batch
-//! document serializes gauges *after* events: the online pass can only use
-//! config gauges that have already streamed (the live emitter sends them
-//! before the first slot), while the canonical pass always sees the final
-//! maps. Gauge-anchored checks (stream sums, Eq. 8 closing balance, event
-//! censuses) need the end-of-run gauges by construction, so they land in
-//! `finish()` — which a live server calls immediately after the closing
-//! gauges arrive, still within one slot of their emission.
+//! line using everything seen so far; the canonical pass walks each
+//! scope's events against the **final** gauge/counter maps and assembles
+//! the [`AuditReport`] that [`audit`] and [`AuditState::finish`] both
+//! return. The split exists because a batch document serializes gauges
+//! *after* events: the online pass can only use config gauges that have
+//! already streamed (the live emitter sends them before the first slot),
+//! while the canonical pass always sees the final maps. Gauge-anchored
+//! checks (stream sums, Eq. 8 closing balance, event censuses) need the
+//! end-of-run gauges by construction, so they land in `finish()` — which
+//! a live server calls immediately after the closing gauges arrive, still
+//! within one slot of their emission.
 //!
 //! Slot-sum checks are skipped (with a note) when the trace reports
 //! dropped events: a saturated ring truncates the per-slot streams, and a
 //! sum over a truncated stream would report phantom violations.
 
-use crate::model::{split_scoped, Trace};
+use crate::model::{metric_of, split_scoped, Trace};
 use dpm_telemetry::{Event, TraceLine, TraceMeta};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -137,24 +136,6 @@ impl AuditReport {
 
 /// Running minimum battery slack: `(slack, scope, slot)`.
 type MinSlack = Option<(f64, String, u64)>;
-
-/// Look up a scope-qualified gauge in a final-value map.
-fn gauge_of(gauges: &BTreeMap<String, f64>, scope: &str, metric: &str) -> Option<f64> {
-    if scope.is_empty() {
-        gauges.get(metric).copied()
-    } else {
-        gauges.get(&format!("{scope}/{metric}")).copied()
-    }
-}
-
-/// Look up a scope-qualified counter in a final-value map.
-fn counter_of(counters: &BTreeMap<String, u64>, scope: &str, metric: &str) -> Option<u64> {
-    if scope.is_empty() {
-        counters.get(metric).copied()
-    } else {
-        counters.get(&format!("{scope}/{metric}")).copied()
-    }
-}
 
 /// Sequence numbers must be strictly increasing within a scope.
 #[derive(Default)]
@@ -294,7 +275,7 @@ impl SlotPass {
         let anchor_seq = self.anchor_seq;
         let anchor_slot = self.anchor_slot;
         let mut check_sum = |metric: &str, sum: f64, invariant: &'static str| {
-            if let Some(gauge) = gauge_of(gauges, scope, metric) {
+            if let Some(gauge) = metric_of(gauges, scope, metric) {
                 report.checks += 1;
                 if (sum - gauge).abs() > tol {
                     report.violations.push(Violation {
@@ -313,7 +294,7 @@ impl SlotPass {
         check_sum("sim.offered_j", self.sum_supplied, "energy.offered");
         if let (Some(last), Some(gauge)) = (
             self.last_battery,
-            gauge_of(gauges, scope, "sim.final_battery_j"),
+            metric_of(gauges, scope, "sim.final_battery_j"),
         ) {
             report.checks += 1;
             if (last - gauge).abs() > tol {
@@ -330,7 +311,7 @@ impl SlotPass {
         }
         if let (Some(last), Some(gauge)) = (
             self.last_under,
-            gauge_of(gauges, scope, "sim.undersupplied_j"),
+            metric_of(gauges, scope, "sim.undersupplied_j"),
         ) {
             report.checks += 1;
             if (last - gauge).abs() > tol {
@@ -541,7 +522,7 @@ impl SafetyPass {
         if dropped != 0 {
             return;
         }
-        if let Some(counted) = counter_of(counters, scope, "safety.degradations") {
+        if let Some(counted) = metric_of(counters, scope, "safety.degradations") {
             report.checks += 1;
             if counted != self.events_seen {
                 report.violations.push(Violation {
@@ -722,7 +703,7 @@ impl BrokerPass {
             return;
         }
         let mut check = |counter: &str, seen: u64| {
-            if let Some(counted) = counter_of(counters, scope, counter) {
+            if let Some(counted) = metric_of(counters, scope, counter) {
                 report.checks += 1;
                 if counted != seen {
                     report.violations.push(Violation {
@@ -827,13 +808,13 @@ impl AuditState {
                 self.body_events += 1;
                 let tol = self.cfg.tolerance_j;
                 let window = (
-                    gauge_of(&self.gauges, &e.scope, "sim.c_min_j"),
-                    gauge_of(&self.gauges, &e.scope, "sim.c_max_j"),
+                    metric_of(&self.gauges, &e.scope, "sim.c_min_j"),
+                    metric_of(&self.gauges, &e.scope, "sim.c_max_j"),
                 );
                 let safety_cfg = (
-                    gauge_of(&self.gauges, &e.scope, "safety.shed_step"),
-                    gauge_of(&self.gauges, &e.scope, "safety.backoff_slots"),
-                    gauge_of(&self.gauges, &e.scope, "safety.max_replan_failures"),
+                    metric_of(&self.gauges, &e.scope, "safety.shed_step"),
+                    metric_of(&self.gauges, &e.scope, "safety.backoff_slots"),
+                    metric_of(&self.gauges, &e.scope, "safety.max_replan_failures"),
                 );
                 let state = self.scopes.entry(e.scope.clone()).or_default();
                 state.online.seq.step(&e.scope, e, &mut fresh);
@@ -885,156 +866,166 @@ impl AuditState {
     }
 
     /// Assemble the canonical report: re-walk the retained buffers against
-    /// the final gauge/counter maps, exactly as the whole-file audit
-    /// always has. Identical to `audit(&trace, &cfg)` when the pushed
-    /// lines came from a parsed trace, in any chunking.
+    /// the final gauge/counter maps. Identical to `audit(&trace, &cfg)`
+    /// when the pushed lines came from a parsed trace, in any chunking.
     pub fn finish(&self) -> AuditReport {
-        let mut report = AuditReport::default();
-        let tol = self.cfg.tolerance_j;
-
-        // 1. Meta consistency.
-        match &self.meta {
-            Some(meta) => {
-                report.checks += 1;
-                if meta.events != self.body_events {
-                    report.violations.push(Violation {
-                        invariant: "meta.events",
-                        scope: String::new(),
-                        seq: None,
-                        slot: None,
-                        message: format!(
-                            "meta advertises {} events but the body holds {}",
-                            meta.events, self.body_events
-                        ),
-                    });
-                }
-            }
-            None => report
-                .notes
-                .push("no meta header seen — event-count check skipped".to_string()),
-        }
-        if self.meta_lines > 1 {
-            report.violations.push(Violation {
-                invariant: "meta.duplicate",
-                scope: String::new(),
-                seq: None,
-                slot: None,
-                message: format!("{} meta headers in one stream", self.meta_lines),
-            });
-        }
-        let dropped = self.meta.as_ref().map_or(0, |m| m.dropped);
-        if dropped > 0 {
-            report.notes.push(format!(
-                "{dropped} events were dropped at the ring capacity: slot-sum and event-count checks skipped"
-            ));
-        }
-
-        report.scopes = self.scopes.len();
-        let mut min_slack: MinSlack = None;
-
-        for (scope, state) in &self.scopes {
-            let events = &state.events;
-
-            // Sequence monotonicity over every event.
-            let mut seq = SeqPass::default();
-            for e in events {
-                seq.step(scope, e, &mut report);
-            }
-
-            // Battery envelope / slot order / undersupply.
-            let has_slots = events.iter().any(|e| e.name == "sim.slot");
-            if has_slots {
-                let window = (
-                    gauge_of(&self.gauges, scope, "sim.c_min_j"),
-                    gauge_of(&self.gauges, scope, "sim.c_max_j"),
-                );
-                if window.0.is_none() || window.1.is_none() {
-                    report.notes.push(format!(
-                        "scope \"{scope}\": no sim.c_min_j/sim.c_max_j gauges — battery-window check skipped"
-                    ));
-                }
-                let mut slots = SlotPass::default();
-                for e in events.iter().filter(|e| e.name == "sim.slot") {
-                    slots.step(scope, e, window, tol, &mut report, &mut min_slack);
-                }
-                slots.finish(scope, &self.gauges, tol, dropped, &mut report);
-            }
-
-            // Safety-machine legality.
-            let safety_cfg = (
-                gauge_of(&self.gauges, scope, "safety.shed_step"),
-                gauge_of(&self.gauges, scope, "safety.backoff_slots"),
-                gauge_of(&self.gauges, scope, "safety.max_replan_failures"),
-            );
-            let mut safety = SafetyPass::default();
-            for e in events.iter().filter(|e| e.name.starts_with("safety.")) {
-                safety.step(scope, e, safety_cfg, &mut report);
-            }
-            safety.finish(scope, &self.counters, dropped, &mut report);
-
-            // Topology legality: collect every declaration first (the
-            // batch contract — declarations anywhere in the stream apply
-            // to the whole replay), then walk the level changes.
-            let broker_events: Vec<&Event> = events
-                .iter()
-                .filter(|e| e.name.starts_with("broker."))
-                .collect();
-            if !broker_events.is_empty() {
-                let mut broker = BrokerPass::default();
-                for e in &broker_events {
-                    broker.declare(e);
-                }
-                let has_levels = broker_events.iter().any(|e| e.name == "broker.level");
-                if broker.elements.is_empty() {
-                    if has_levels {
-                        report.notes.push(format!(
-                            "scope \"{scope}\": broker.level events without broker.element declarations — legality replay skipped"
-                        ));
-                    }
-                } else {
-                    for e in &broker_events {
-                        broker.replay(scope, e, &mut report);
-                    }
-                    broker.finish(scope, &self.counters, dropped, &mut report);
-                }
-            }
-        }
-
-        // Gauge-only closing balance, independent of the event ring.
-        audit_energy_balance(&self.gauges, tol, &mut report);
-
-        if let Some((slack, scope, slot)) = min_slack {
-            report.notes.push(format!(
-                "minimum battery slack to the window edge: {slack:.6} J (scope \"{scope}\", slot {slot})"
-            ));
-        }
-        report
+        let scopes: Vec<(&str, Vec<&Event>)> = self
+            .scopes
+            .iter()
+            .map(|(scope, state)| (scope.as_str(), state.events.iter().collect()))
+            .collect();
+        canonical_pass(
+            self.cfg.tolerance_j,
+            &scopes,
+            &self.gauges,
+            &self.counters,
+            self.meta.as_ref(),
+            self.meta_lines,
+            self.body_events,
+        )
     }
 }
 
-/// Audit `trace` against every invariant family; a thin loop over
-/// [`AuditState`] — see the module docs.
+/// Audit `trace` against every invariant family: the canonical pass run
+/// directly over the parsed trace, borrowing its events. Batch mode skips
+/// the online pass, whose per-line verdicts are never part of the report.
 pub fn audit(trace: &Trace, cfg: &AuditConfig) -> AuditReport {
-    let mut state = AuditState::new(*cfg);
-    state.push(&TraceLine::Meta(trace.meta.clone()));
-    for e in &trace.events {
-        state.push(&TraceLine::Event(e.clone()));
+    let scopes: Vec<(&str, Vec<&Event>)> = trace.events_by_scope().into_iter().collect();
+    canonical_pass(
+        cfg.tolerance_j,
+        &scopes,
+        &trace.gauges,
+        &trace.counters,
+        Some(&trace.meta),
+        1,
+        trace.events.len() as u64,
+    )
+}
+
+/// The canonical pass behind [`audit`] and [`AuditState::finish`] over
+/// each scope's events in ring order (scopes sorted), the final metric
+/// maps, and the header and event line counts of the stream.
+fn canonical_pass(
+    tol: f64,
+    scopes: &[(&str, Vec<&Event>)],
+    gauges: &BTreeMap<String, f64>,
+    counters: &BTreeMap<String, u64>,
+    meta: Option<&TraceMeta>,
+    meta_lines: u64,
+    body_events: u64,
+) -> AuditReport {
+    let mut report = AuditReport::default();
+
+    // 1. Meta consistency.
+    match meta {
+        Some(meta) => {
+            report.checks += 1;
+            if meta.events != body_events {
+                report.violations.push(Violation {
+                    invariant: "meta.events",
+                    scope: String::new(),
+                    seq: None,
+                    slot: None,
+                    message: format!(
+                        "meta advertises {} events but the body holds {body_events}",
+                        meta.events
+                    ),
+                });
+            }
+        }
+        None => report
+            .notes
+            .push("no meta header seen — event-count check skipped".to_string()),
     }
-    // Counters and gauges are last-write-wins maps: replaying only the
-    // final values is exactly what the serialized document does.
-    for (name, &value) in &trace.counters {
-        state.push(&TraceLine::Counter(dpm_telemetry::CounterLine {
-            name: name.clone(),
-            value,
-        }));
+    if meta_lines > 1 {
+        report.violations.push(Violation {
+            invariant: "meta.duplicate",
+            scope: String::new(),
+            seq: None,
+            slot: None,
+            message: format!("{meta_lines} meta headers in one stream"),
+        });
     }
-    for (name, &value) in &trace.gauges {
-        state.push(&TraceLine::Gauge(dpm_telemetry::GaugeLine {
-            name: name.clone(),
-            value,
-        }));
+    let dropped = meta.map_or(0, |m| m.dropped);
+    if dropped > 0 {
+        report.notes.push(format!(
+            "{dropped} events were dropped at the ring capacity: slot-sum and event-count checks skipped"
+        ));
     }
-    state.finish()
+
+    report.scopes = scopes.len();
+    let mut min_slack: MinSlack = None;
+
+    for (scope, events) in scopes {
+        // Sequence monotonicity over every event.
+        let mut seq = SeqPass::default();
+        for e in events {
+            seq.step(scope, e, &mut report);
+        }
+
+        // Battery envelope / slot order / undersupply.
+        if events.iter().any(|e| e.name == "sim.slot") {
+            let window = (
+                metric_of(gauges, scope, "sim.c_min_j"),
+                metric_of(gauges, scope, "sim.c_max_j"),
+            );
+            if window.0.is_none() || window.1.is_none() {
+                report.notes.push(format!(
+                    "scope \"{scope}\": no sim.c_min_j/sim.c_max_j gauges — battery-window check skipped"
+                ));
+            }
+            let mut slots = SlotPass::default();
+            for e in events.iter().filter(|e| e.name == "sim.slot") {
+                slots.step(scope, e, window, tol, &mut report, &mut min_slack);
+            }
+            slots.finish(scope, gauges, tol, dropped, &mut report);
+        }
+
+        // Safety-machine legality.
+        let safety_cfg = (
+            metric_of(gauges, scope, "safety.shed_step"),
+            metric_of(gauges, scope, "safety.backoff_slots"),
+            metric_of(gauges, scope, "safety.max_replan_failures"),
+        );
+        let mut safety = SafetyPass::default();
+        for e in events.iter().filter(|e| e.name.starts_with("safety.")) {
+            safety.step(scope, e, safety_cfg, &mut report);
+        }
+        safety.finish(scope, counters, dropped, &mut report);
+
+        // Topology legality: collect every declaration first (the batch
+        // contract — declarations anywhere in the stream apply to the
+        // whole replay), then walk the level changes.
+        let broker_events: Vec<&Event> = events
+            .iter()
+            .copied()
+            .filter(|e| e.name.starts_with("broker."))
+            .collect();
+        let mut broker = BrokerPass::default();
+        for e in &broker_events {
+            broker.declare(e);
+        }
+        if !broker.elements.is_empty() {
+            for e in &broker_events {
+                broker.replay(scope, e, &mut report);
+            }
+            broker.finish(scope, counters, dropped, &mut report);
+        } else if broker_events.iter().any(|e| e.name == "broker.level") {
+            report.notes.push(format!(
+                "scope \"{scope}\": broker.level events without broker.element declarations — legality replay skipped"
+            ));
+        }
+    }
+
+    // Gauge-only closing balance, independent of the event ring.
+    audit_energy_balance(gauges, tol, &mut report);
+
+    if let Some((slack, scope, slot)) = min_slack {
+        report.notes.push(format!(
+            "minimum battery slack to the window edge: {slack:.6} J (scope \"{scope}\", slot {slot})"
+        ));
+    }
+    report
 }
 
 /// Closing energy balance from gauges alone (Eq. 8 over the whole run):
@@ -1051,7 +1042,7 @@ fn audit_energy_balance(gauges: &BTreeMap<String, f64>, tol: f64, report: &mut A
         }
     }
     for (scope, ()) in scopes {
-        let conserving = gauge_of(gauges, scope, "sim.energy_conserving");
+        let conserving = metric_of(gauges, scope, "sim.energy_conserving");
         if conserving != Some(1.0) {
             if conserving == Some(0.0) {
                 report.notes.push(format!(
@@ -1061,12 +1052,12 @@ fn audit_energy_balance(gauges: &BTreeMap<String, f64>, tol: f64, report: &mut A
             continue;
         }
         let needed = [
-            gauge_of(gauges, scope, "sim.offered_j"),
-            gauge_of(gauges, scope, "sim.wasted_j"),
-            gauge_of(gauges, scope, "sim.rate_loss_j"),
-            gauge_of(gauges, scope, "sim.delivered_j"),
-            gauge_of(gauges, scope, "sim.initial_battery_j"),
-            gauge_of(gauges, scope, "sim.final_battery_j"),
+            metric_of(gauges, scope, "sim.offered_j"),
+            metric_of(gauges, scope, "sim.wasted_j"),
+            metric_of(gauges, scope, "sim.rate_loss_j"),
+            metric_of(gauges, scope, "sim.delivered_j"),
+            metric_of(gauges, scope, "sim.initial_battery_j"),
+            metric_of(gauges, scope, "sim.final_battery_j"),
         ];
         let [Some(offered), Some(wasted), Some(rate_loss), Some(delivered), Some(initial), Some(fin)] =
             needed
@@ -1134,9 +1125,15 @@ mod tests {
         rec
     }
 
+    /// Batch-audit `jsonl`, pinning the report equal to a line-by-line
+    /// [`AuditState`] replay: batch and live are separate entry points
+    /// into the canonical pass, so every trace a test here builds doubles
+    /// as an equivalence case (violations, note order, checks, scopes).
     fn audit_str(jsonl: &str) -> AuditReport {
         let trace = Trace::parse(jsonl).unwrap();
-        audit(&trace, &AuditConfig::default())
+        let batch = audit(&trace, &AuditConfig::default());
+        assert_eq!(batch, replay_lines(jsonl).finish(), "batch and live differ");
+        batch
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::error::TraceError;
 use dpm_telemetry::{
-    parse_trace_jsonl, Event, HistogramLine, SpanLine, TraceLine, TraceMeta, SCHEMA_VERSION,
+    trace_jsonl_lines, Event, HistogramLine, SpanLine, TraceLine, TraceMeta, SCHEMA_VERSION,
 };
 use std::collections::BTreeMap;
 
@@ -43,56 +43,66 @@ pub fn split_scoped(name: &str) -> (&str, &str) {
     }
 }
 
+/// Look up `name` under `scope` in a scope-qualified final-value map.
+pub(crate) fn metric_of<V: Copy>(map: &BTreeMap<String, V>, scope: &str, name: &str) -> Option<V> {
+    if scope.is_empty() {
+        map.get(name).copied()
+    } else {
+        map.get(&format!("{scope}/{name}")).copied()
+    }
+}
+
 impl Trace {
-    /// Parse a JSONL trace document.
+    /// Parse a JSONL trace document line by line, straight into the trace.
     ///
     /// # Errors
-    /// [`TraceError::Parse`] on a malformed line, [`TraceError::MissingMeta`]
-    /// when the first line is not the header, and
+    /// [`TraceError::Parse`] on a malformed line anywhere in the document
+    /// (ahead of any header error), [`TraceError::MissingMeta`] when the
+    /// first line is not the header or a second header follows, and
     /// [`TraceError::SchemaMismatch`] on a schema version this analyzer
     /// does not understand.
     pub fn parse(input: &str) -> Result<Self, TraceError> {
-        let lines = parse_trace_jsonl(input)?;
-        let mut iter = lines.into_iter();
-        let meta = match iter.next() {
-            Some(TraceLine::Meta(meta)) => meta,
-            _ => return Err(TraceError::MissingMeta),
-        };
-        if meta.schema != SCHEMA_VERSION {
-            return Err(TraceError::SchemaMismatch {
-                found: meta.schema,
-                expected: SCHEMA_VERSION,
-            });
-        }
-        let mut trace = Self {
-            meta,
-            events: Vec::new(),
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-            spans: Vec::new(),
-        };
-        for line in iter {
-            match line {
-                // A second meta line is structurally impossible for our
-                // writers; treat it as the header of a concatenated trace
-                // and reject, so `audit a+b` fails loudly instead of
-                // silently merging two runs.
-                TraceLine::Meta(_) => return Err(TraceError::MissingMeta),
-                TraceLine::Event(e) => trace.events.push(e),
-                TraceLine::Counter(c) => {
+        // `None` until the header, `Some(Err)` once rejected; later lines
+        // are still decoded so a malformed one wins over a header error.
+        let mut state: Option<Result<Self, TraceError>> = None;
+        for line in trace_jsonl_lines(input) {
+            match (&mut state, line?) {
+                (Some(Err(_)), _) => {}
+                (None, TraceLine::Meta(meta)) if meta.schema != SCHEMA_VERSION => {
+                    state = Some(Err(TraceError::SchemaMismatch {
+                        found: meta.schema,
+                        expected: SCHEMA_VERSION,
+                    }));
+                }
+                (None, TraceLine::Meta(meta)) => {
+                    state = Some(Ok(Self {
+                        meta,
+                        events: Vec::new(),
+                        counters: BTreeMap::new(),
+                        gauges: BTreeMap::new(),
+                        histograms: BTreeMap::new(),
+                        spans: Vec::new(),
+                    }));
+                }
+                // A second meta line is the header of a concatenated trace:
+                // reject it so `audit a+b` fails instead of merging two runs.
+                (None, _) | (Some(Ok(_)), TraceLine::Meta(_)) => {
+                    state = Some(Err(TraceError::MissingMeta));
+                }
+                (Some(Ok(trace)), TraceLine::Event(e)) => trace.events.push(e),
+                (Some(Ok(trace)), TraceLine::Counter(c)) => {
                     trace.counters.insert(c.name, c.value);
                 }
-                TraceLine::Gauge(g) => {
+                (Some(Ok(trace)), TraceLine::Gauge(g)) => {
                     trace.gauges.insert(g.name, g.value);
                 }
-                TraceLine::Histogram(h) => {
+                (Some(Ok(trace)), TraceLine::Histogram(h)) => {
                     trace.histograms.insert(h.name.clone(), h);
                 }
-                TraceLine::Span(s) => trace.spans.push(s),
+                (Some(Ok(trace)), TraceLine::Span(s)) => trace.spans.push(s),
             }
         }
-        Ok(trace)
+        state.unwrap_or(Err(TraceError::MissingMeta))
     }
 
     /// Events grouped by scope, preserving ring order within each scope.
@@ -108,22 +118,12 @@ impl Trace {
 
     /// The gauge `metric` recorded under `scope` (exact scope match).
     pub fn scoped_gauge(&self, scope: &str, metric: &str) -> Option<f64> {
-        let key = if scope.is_empty() {
-            metric.to_string()
-        } else {
-            format!("{scope}/{metric}")
-        };
-        self.gauges.get(&key).copied()
+        metric_of(&self.gauges, scope, metric)
     }
 
     /// The counter `metric` recorded under `scope` (exact scope match).
     pub fn scoped_counter(&self, scope: &str, metric: &str) -> Option<u64> {
-        let key = if scope.is_empty() {
-            metric.to_string()
-        } else {
-            format!("{scope}/{metric}")
-        };
-        self.counters.get(&key).copied()
+        metric_of(&self.counters, scope, metric)
     }
 
     /// Look up a numeric field of an event by key.
@@ -199,6 +199,43 @@ mod tests {
                 expected: SCHEMA_VERSION
             })
         );
+    }
+
+    #[test]
+    fn a_malformed_line_anywhere_wins_over_header_errors() {
+        let jsonl = sample_jsonl();
+        let n = jsonl.lines().count();
+        let headless: String = jsonl.lines().skip(1).map(|l| format!("{l}\n")).collect();
+        let bumped = jsonl.replacen("\"schema\":1", "\"schema\":999", 1);
+        // Each document is rejected at an earlier line, yet the parse error
+        // of its trailing garbage line is what surfaces.
+        for (doc, garbage_line) in [
+            (format!("{jsonl}{jsonl}"), 2 * n + 1),
+            (headless, n),
+            (bumped, n + 1),
+        ] {
+            match Trace::parse(&format!("{doc}garbage\n")) {
+                Err(TraceError::Parse { line, .. }) => assert_eq!(line, garbage_line),
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn blank_lines_are_skipped_but_counted_and_empty_documents_lack_a_header() {
+        let jsonl = sample_jsonl();
+        let padded = format!("\n{}\n\n", jsonl.replace('\n', "\n  \n"));
+        assert_eq!(
+            Trace::parse(&padded).unwrap(),
+            Trace::parse(&jsonl).unwrap()
+        );
+        let n = padded.lines().count();
+        assert!(matches!(
+            Trace::parse(&format!("{padded}garbage\n")),
+            Err(TraceError::Parse { line, .. }) if line == n + 1
+        ));
+        assert_eq!(Trace::parse(""), Err(TraceError::MissingMeta));
+        assert_eq!(Trace::parse("\n \n"), Err(TraceError::MissingMeta));
     }
 
     #[test]

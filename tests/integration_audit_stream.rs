@@ -64,6 +64,21 @@ proptest! {
     }
 }
 
+/// Batch `audit` and a live `AuditState` reach the canonical pass by
+/// separate paths (batch borrows the parsed trace and skips the online
+/// pass), so a line-by-line replay must reproduce the whole batch report
+/// on both corpus traces: the governed campaign and the violating
+/// topology run.
+#[test]
+fn batch_audit_equals_a_line_by_line_replay() {
+    for doc in corpus() {
+        let batch = audit(&Trace::parse(doc).expect("parses"), &AuditConfig::default());
+        let lines = parse_trace_jsonl(doc).expect("parses");
+        assert!(!batch.notes.is_empty() && batch.checks > 0);
+        assert_eq!(replay_chunked(&lines, &[1]), batch);
+    }
+}
+
 #[test]
 fn the_topology_corpus_actually_carries_violations() {
     let doc = &corpus()[1];
