@@ -6,8 +6,6 @@
 //! dpm-analyze diff <left> <right> [--context <N>]
 //! dpm-analyze summary <trace>
 //! dpm-analyze fleet <trace>
-//! dpm-analyze bench <profile> --name <name> [--out <path>]
-//! dpm-analyze bench <profile> --check <baseline> [--tolerance <pct>]
 //! dpm-analyze profile <profile> [--collapse]
 //! dpm-analyze profile <profile> --name <name> [--out <path>]
 //! dpm-analyze profile <profile> --check <baseline> [--tolerance <pct>]
@@ -25,16 +23,14 @@
 //!   `campaign --fleet` trace into one population report — survival
 //!   fraction, battery-floor percentiles (p1/p10/p50), shed census —
 //!   and exits 1 when the trace carries no fleet metrics.
-//! - `bench` condenses the *flat* span aggregates of a wall-clock
-//!   `.profile` document into a `BENCH_<name>.json` baseline, or checks
-//!   a fresh profile against a committed baseline and exits 1 on
-//!   regression.
-//! - `profile` reads the *hierarchical* span-tree lines of a `.profile`
+//! - `profile` reads the span-tree lines of a wall-clock `.profile`
 //!   document and renders the call tree with per-node self-time
 //!   (total minus direct children) plus a self-time ranking.
 //!   `--collapse` emits collapsed-stack lines (`path self_µs`) for
-//!   flamegraph tools; `--name`/`--check` write or gate a span-tree
-//!   baseline exactly like `bench` does for flat spans.
+//!   flamegraph tools. `--name` condenses the profile into a
+//!   `BENCH_<name>.json` baseline; `--check` is the perf gate: it
+//!   checks the profile against a committed baseline and exits 1 on
+//!   regression.
 //!
 //! A `<trace>` argument of `-` reads the document from stdin, so a live
 //! `dpm-serve` session trace pipes straight into `audit -`/`summary -`.
@@ -42,8 +38,8 @@
 //! Exit codes: 0 success, 1 violation/divergence/regression or
 //! unreadable input, 2 usage error.
 
-use dpm_telemetry::{parse_profile_doc, ProfileLine, SpanNodeLine};
-use dpm_trace::{audit, bench_check, first_divergence, render_fleet, render_summary};
+use dpm_telemetry::{parse_profile_jsonl, SpanNodeLine};
+use dpm_trace::{audit, first_divergence, render_fleet, render_summary};
 use dpm_trace::{profile, summarize_fleet, AuditConfig, BenchBaseline, Trace};
 
 const USAGE: &str = "usage:
@@ -51,8 +47,6 @@ const USAGE: &str = "usage:
   dpm-analyze diff <left> <right> [--context <N>]
   dpm-analyze summary <trace>
   dpm-analyze fleet <trace>
-  dpm-analyze bench <profile> --name <name> [--out <path>]
-  dpm-analyze bench <profile> --check <baseline> [--tolerance <pct>]
   dpm-analyze profile <profile> [--collapse]
   dpm-analyze profile <profile> --name <name> [--out <path>]
   dpm-analyze profile <profile> --check <baseline> [--tolerance <pct>]
@@ -204,84 +198,17 @@ fn cmd_fleet(mut args: std::vec::IntoIter<String>) -> i32 {
     }
 }
 
-/// Read and parse a `.profile` document (flat lines + span-tree lines),
-/// exiting 1 with a pinpointed message on malformed input.
-fn parse_profile(path: &str) -> (Vec<ProfileLine>, Vec<SpanNodeLine>) {
-    match parse_profile_doc(&read_file(path)) {
-        Ok(doc) => doc,
+/// Read and parse a `.profile` document, exiting 1 with a pinpointed
+/// message on malformed input (including the older flat per-name
+/// format, which fails at line 1).
+fn parse_profile(path: &str) -> Vec<SpanNodeLine> {
+    match parse_profile_jsonl(&read_file(path)) {
+        Ok(tree) => tree,
         Err(e) => {
             eprintln!("dpm-analyze: {path}: {e}");
             std::process::exit(1);
         }
     }
-}
-
-fn cmd_bench(mut args: std::vec::IntoIter<String>) -> i32 {
-    let mut profile_path: Option<String> = None;
-    let mut name: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut tolerance_pct = 25.0f64;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--name" => name = Some(parse_flag(&mut args, "--name")),
-            "--out" => out = Some(parse_flag(&mut args, "--out")),
-            "--check" => check_path = Some(parse_flag(&mut args, "--check")),
-            "--tolerance" => tolerance_pct = parse_flag(&mut args, "--tolerance"),
-            _ if profile_path.is_none() => profile_path = Some(a),
-            _ => usage_exit(&format!("unexpected argument `{a}`")),
-        }
-    }
-    let Some(profile_path) = profile_path else {
-        usage_exit("bench requires a profile path");
-    };
-    // A profile document carries both flat aggregates and span-tree
-    // lines; `bench` gates on the flat side only (`profile` owns the
-    // tree).
-    let (profile, _) = parse_profile(&profile_path);
-
-    if let Some(check_path) = check_path {
-        let baseline = match BenchBaseline::parse(&read_file(&check_path)) {
-            Ok(baseline) => baseline,
-            Err(e) => {
-                eprintln!("dpm-analyze: {check_path}: {e}");
-                return 1;
-            }
-        };
-        let regressions = bench_check(&baseline, &profile, tolerance_pct);
-        if regressions.is_empty() {
-            println!(
-                "bench OK: {} span(s) within {tolerance_pct}% of baseline \"{}\"",
-                baseline.spans.len(),
-                baseline.name
-            );
-            return 0;
-        }
-        for r in &regressions {
-            eprintln!("regression: {}: {}", r.span, r.message);
-        }
-        eprintln!(
-            "bench FAILED: {} regression(s) against baseline \"{}\" at {tolerance_pct}% tolerance",
-            regressions.len(),
-            baseline.name
-        );
-        return 1;
-    }
-
-    let Some(name) = name else {
-        usage_exit("bench requires --name <name> (to write) or --check <baseline>");
-    };
-    let baseline = BenchBaseline::from_profile(&name, &profile);
-    let out = out.unwrap_or_else(|| format!("BENCH_{name}.json"));
-    if let Err(e) = std::fs::write(&out, baseline.to_json()) {
-        eprintln!("dpm-analyze: cannot write {out}: {e}");
-        return 1;
-    }
-    println!(
-        "wrote baseline \"{name}\" ({} spans) to {out}",
-        baseline.spans.len()
-    );
-    0
 }
 
 fn cmd_profile(mut args: std::vec::IntoIter<String>) -> i32 {
@@ -305,7 +232,7 @@ fn cmd_profile(mut args: std::vec::IntoIter<String>) -> i32 {
     let Some(profile_path) = profile_path else {
         usage_exit("profile requires a profile path");
     };
-    let (_, tree) = parse_profile(&profile_path);
+    let tree = parse_profile(&profile_path);
 
     if let Some(check_path) = check_path {
         let baseline = match BenchBaseline::parse(&read_file(&check_path)) {
@@ -336,7 +263,7 @@ fn cmd_profile(mut args: std::vec::IntoIter<String>) -> i32 {
     }
 
     if let Some(name) = name {
-        let baseline = profile::baseline(&name, &tree);
+        let baseline = BenchBaseline::from_profile(&name, &tree);
         let out = out.unwrap_or_else(|| format!("BENCH_{name}.json"));
         if let Err(e) = std::fs::write(&out, baseline.to_json()) {
             eprintln!("dpm-analyze: cannot write {out}: {e}");
@@ -368,7 +295,6 @@ fn main() {
         Some("diff") => cmd_diff(args),
         Some("summary") => cmd_summary(args),
         Some("fleet") => cmd_fleet(args),
-        Some("bench") => cmd_bench(args),
         Some("profile") => cmd_profile(args),
         Some(other) => usage_exit(&format!("unknown command `{other}`")),
         None => usage_exit("a command is required"),

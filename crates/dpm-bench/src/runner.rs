@@ -84,30 +84,25 @@ impl RunStats {
         self.timings.iter().map(|t| t.wall).fold(0.0, f64::max)
     }
 
-    /// Fold this run's timings into `telemetry` under `label`: each job
-    /// lands in the `{label}.job` span, the whole run in `{label}.run`,
-    /// and the job count in the `{label}.jobs` counter. Only the counts
-    /// reach the deterministic trace — the wall-clock side stays in the
-    /// profile, so traces remain byte-identical across `--jobs` settings.
-    /// (Thread count is deliberately not recorded: it varies with
-    /// `--jobs`.)
-    ///
-    /// The same timings also land in the span *tree* as
-    /// `{label}.run` → `{label}.run;{label}.job`, so `dpm-analyze profile`
+    /// Fold this run's timings into `telemetry` under `label`: the whole
+    /// run lands in the span tree at `{label}.run`, each job beneath it
+    /// at `{label}.run;{label}.job`, and the job count in the
+    /// `{label}.jobs` counter. Only the counts reach the deterministic
+    /// trace (as the `{label}.run` and `{label}.job` spans) — the
+    /// wall-clock side stays in the profile, so traces remain
+    /// byte-identical across `--jobs` settings, and `dpm-analyze profile`
     /// can attribute fan-out overhead (run self-time) separately from the
-    /// jobs themselves.
+    /// jobs themselves. (Thread count is deliberately not recorded: it
+    /// varies with `--jobs`.)
     pub fn record_into(&self, telemetry: &dpm_telemetry::Recorder, label: &str) {
         if !telemetry.is_enabled() {
             return;
         }
         telemetry.incr(&format!("{label}.jobs"), self.jobs as u64);
-        let span = format!("{label}.job");
         let job_path = format!("{label}.run;{label}.job");
         for timing in &self.timings {
-            telemetry.record_span(&span, timing.wall);
             telemetry.record_span_path(&job_path, timing.wall);
         }
-        telemetry.record_span(&format!("{label}.run"), self.wall);
         telemetry.record_span_path(&format!("{label}.run"), self.wall);
     }
 

@@ -3,9 +3,10 @@
 //! The split matters: the **trace** (`<path>`, JSONL of
 //! [`dpm_telemetry::TraceLine`]) is deterministic and byte-comparable
 //! across runs and `--jobs` settings — CI diffs it. The **profile**
-//! (`<path>.profile`, JSONL of [`dpm_telemetry::ProfileLine`]) carries the
-//! wall-clock span timings and is explicitly non-reproducible. The stderr
-//! summary renders both, with the wall-clock section clearly labeled.
+//! (`<path>.profile`, JSONL of [`dpm_telemetry::SpanNodeLine`]) carries
+//! the wall-clock span tree and is explicitly non-reproducible; CI gates
+//! it with `dpm-analyze profile --check`. The stderr summary renders
+//! both, with the wall-clock section clearly labeled.
 //!
 //! A path of `-` streams the trace to **stdout** instead (the profile is
 //! suppressed — there is no `-.profile` to write), so a harness pipes

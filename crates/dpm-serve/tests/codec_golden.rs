@@ -9,8 +9,7 @@ use dpm_core::units::seconds;
 use dpm_serve::{QueryKind, Request, Response, SessionSpec};
 use dpm_sim::prelude::Disturbance;
 use dpm_telemetry::{
-    CounterLine, Event, GaugeLine, HistogramLine, ProfileLine, SpanLine, SpanNodeLine, TraceLine,
-    TraceMeta,
+    CounterLine, Event, GaugeLine, HistogramLine, SpanLine, SpanNodeLine, TraceLine, TraceMeta,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
@@ -254,34 +253,23 @@ fn responses() -> Vec<Response> {
     ]
 }
 
-fn profile_lines() -> (ProfileLine, SpanNodeLine) {
-    (
-        ProfileLine {
-            name: "sim.run".into(),
-            count: 3,
-            total_s: 0.012,
-            mean_s: 0.004,
-            max_s: 0.0055,
-        },
-        SpanNodeLine {
-            path: "sim.run;core.decide".into(),
-            count: 9,
-            total_s: 0.003,
-            max_s: 0.0009,
-        },
-    )
+fn span_node() -> SpanNodeLine {
+    SpanNodeLine {
+        path: "sim.run;core.decide".into(),
+        count: 9,
+        total_s: 0.003,
+        max_s: 0.0009,
+    }
 }
 
 /// The corpus in compact form, one line per value, in a fixed order.
 fn compact_lines() -> Vec<String> {
-    let (flat, node) = profile_lines();
     let mut out: Vec<String> = Vec::new();
     out.extend(trace_lines().iter().map(encode));
     out.extend(requests().iter().map(encode));
     out.extend(responses().iter().map(encode));
     out.push(encode(&spec()));
-    out.push(encode(&flat));
-    out.push(encode(&node));
+    out.push(encode(&span_node()));
     out
 }
 
@@ -337,7 +325,5 @@ fn golden_corpus_decodes_to_equal_values() {
         check_decodes(next(), &want);
     }
     check_decodes(next(), &spec());
-    let (flat, node) = profile_lines();
-    check_decodes(next(), &flat);
-    check_decodes(next(), &node);
+    check_decodes(next(), &span_node());
 }

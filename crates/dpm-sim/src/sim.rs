@@ -617,7 +617,6 @@ impl ActiveRun {
             // (`begin`/`step`/`finish`) emits the byte-identical trace
             // line. The wall-clock side lands in the `.profile` only.
             let run_wall = self.started.elapsed().as_secs_f64();
-            self.sim.telemetry.record_span("sim.run", run_wall);
             self.sim.telemetry.record_span_path("sim.run", run_wall);
             self.sim.telemetry.incr("sim.slots", self.next_slot);
             self.sim

@@ -15,11 +15,13 @@
 //! job-index order. The trace for a given workload is therefore
 //! byte-identical across repeated runs and across `--jobs` settings.
 //!
-//! Wall-clock measurements ([`Recorder::span`]/[`Recorder::record_span`])
-//! are the one intentional exception; they never enter the trace. Only a
-//! span's deterministic *call count* is traced — the timings live in an
-//! explicitly separate profile section ([`Recorder::profile_jsonl`] and
-//! the stderr summary), clearly labeled as non-reproducible.
+//! Wall-clock measurements ([`Recorder::span`]/[`Recorder::record_span_path`])
+//! are the one intentional exception; they never enter the trace. Both
+//! land in one span store keyed by `(scope, path)`. Only a span's
+//! deterministic *call count* is traced, summed per scope and leaf frame;
+//! the timings live in the explicitly separate span-tree profile
+//! ([`Recorder::profile_jsonl`] and the stderr summary), clearly labeled
+//! as non-reproducible.
 //!
 //! ## Cost when disabled
 //!
@@ -48,9 +50,8 @@ pub mod trace;
 pub use histogram::Histogram;
 pub use recorder::{Recorder, SpanGuard, DEFAULT_EVENT_CAPACITY};
 pub use trace::{
-    parse_profile_doc, parse_profile_jsonl, parse_trace_jsonl, trace_jsonl_lines, CounterLine,
-    Event, GaugeLine, HistogramLine, ParseError, ProfileLine, SpanLine, SpanNodeLine, TraceLine,
-    TraceMeta, SCHEMA_VERSION,
+    parse_profile_jsonl, parse_trace_jsonl, trace_jsonl_lines, CounterLine, Event, GaugeLine,
+    HistogramLine, ParseError, SpanLine, SpanNodeLine, TraceLine, TraceMeta, SCHEMA_VERSION,
 };
 
 // Compile-time thread-safety audit: recorders are shared across the
@@ -67,5 +68,5 @@ const _: () = {
 pub mod prelude {
     pub use crate::histogram::Histogram;
     pub use crate::recorder::{Recorder, SpanGuard};
-    pub use crate::trace::{Event, ProfileLine, TraceLine};
+    pub use crate::trace::{Event, TraceLine};
 }

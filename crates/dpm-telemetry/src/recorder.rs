@@ -15,8 +15,8 @@
 
 use crate::histogram::Histogram;
 use crate::trace::{
-    CounterLine, Event, GaugeLine, HistogramLine, ProfileLine, SpanLine, SpanNodeLine, TraceLine,
-    TraceMeta, SCHEMA_VERSION,
+    CounterLine, Event, GaugeLine, HistogramLine, SpanLine, SpanNodeLine, TraceLine, TraceMeta,
+    SCHEMA_VERSION,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -41,12 +41,20 @@ thread_local! {
 /// deterministically in [`TraceMeta::dropped`].
 pub const DEFAULT_EVENT_CAPACITY: usize = 16_384;
 
-/// Wall-clock aggregate of one span name.
+/// Wall-clock aggregate of one span-tree node.
 #[derive(Debug, Clone, Default)]
 struct SpanStats {
     count: u64,
     total: f64,
     max: f64,
+}
+
+impl SpanStats {
+    fn add(&mut self, count: u64, total: f64, max: f64) {
+        self.count += count;
+        self.total += total;
+        self.max = self.max.max(max);
+    }
 }
 
 /// Everything a recorder accumulates.
@@ -57,11 +65,13 @@ struct Inner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
-    spans: BTreeMap<String, SpanStats>,
-    /// Hierarchical span aggregates keyed by collapsed-stack path
-    /// (`"sim.run;core.decide"`). Wall-clock only — surfaces in the
-    /// `.profile` document as [`SpanNodeLine`]s, never in the trace.
-    tree: BTreeMap<String, SpanStats>,
+    /// The one span store: aggregates keyed by `(scope, path)`, where
+    /// `path` is the collapsed stack (`"sim.run;core.decide"`) and
+    /// `scope` the absorption prefix (`""` for spans recorded here). The
+    /// scope stays a separate field because client-chosen scopes may
+    /// contain `;` or `/`. The `.profile` document writes each node as a
+    /// [`SpanNodeLine`]; the trace carries only counts derived from it.
+    spans: BTreeMap<(String, String), SpanStats>,
     events: VecDeque<Event>,
     dropped: u64,
     next_seq: u64,
@@ -122,7 +132,6 @@ impl Recorder {
                     gauges: BTreeMap::new(),
                     histograms: BTreeMap::new(),
                     spans: BTreeMap::new(),
-                    tree: BTreeMap::new(),
                     events: VecDeque::new(),
                     dropped: 0,
                     next_seq: 0,
@@ -236,38 +245,27 @@ impl Recorder {
         }
     }
 
-    /// Fold an externally measured wall-clock duration (s) into span
-    /// `name` — for timings produced outside a [`SpanGuard`], like the
-    /// runner's per-job timings.
-    pub fn record_span(&self, name: &str, wall_s: f64) {
-        if let Some(mut inner) = self.lock() {
-            let stats = inner.spans.entry(name.to_string()).or_default();
-            stats.count += 1;
-            stats.total += wall_s;
-            stats.max = stats.max.max(wall_s);
-        }
-    }
-
     /// Fold an externally measured wall-clock duration (s) into the
-    /// span **tree** at collapsed-stack `path` — for harness layers that
-    /// time work themselves (the runner's per-job timings) but still
-    /// want hierarchical attribution in the `.profile` document. The
-    /// flat per-name profile is untouched; pair with
-    /// [`Recorder::record_span`] when both views should see the timing.
+    /// span tree at collapsed-stack `path` — for harness layers that
+    /// time work themselves (the runner's per-job timings, the
+    /// simulator's whole-run span). Like a [`SpanGuard`], the timing
+    /// lands in the `.profile` document under `path` and its count in
+    /// the trace under the path's leaf frame.
     pub fn record_span_path(&self, path: &str, wall_s: f64) {
         if let Some(mut inner) = self.lock() {
-            let stats = inner.tree.entry(path.to_string()).or_default();
-            stats.count += 1;
-            stats.total += wall_s;
-            stats.max = stats.max.max(wall_s);
+            inner
+                .spans
+                .entry((String::new(), path.to_string()))
+                .or_default()
+                .add(1, wall_s, wall_s);
         }
     }
 
     /// Start timing span `name`; the elapsed wall clock is recorded when
-    /// the guard drops — into the flat per-name profile *and* the span
-    /// tree, where the node's path nests under the innermost span this
-    /// recorder currently has open on this thread. On a disabled
-    /// recorder the guard is inert and the clock is never read.
+    /// the guard drops, into the span tree at a path nested under the
+    /// innermost span this recorder currently has open on this thread.
+    /// On a disabled recorder the guard is inert and the clock is never
+    /// read.
     #[must_use = "the span is timed until the guard drops"]
     pub fn span(&self, name: &str) -> SpanGuard {
         let Some(shared) = self.shared.as_ref() else {
@@ -299,7 +297,7 @@ impl Recorder {
             }
         });
         SpanGuard {
-            target: Some((Arc::clone(shared), name.to_string())),
+            target: Some(Arc::clone(shared)),
             path,
             framed,
             start: Some(Instant::now()),
@@ -322,14 +320,13 @@ impl Recorder {
         }
         // Drain the child first (child lock, then parent lock — never
         // both ways round, so no deadlock ordering exists).
-        let (counters, gauges, histograms, spans, tree, events, dropped) = {
+        let (counters, gauges, histograms, spans, events, dropped) = {
             let mut c = child_shared.inner.lock().unwrap_or_else(|e| e.into_inner());
             let drained = (
                 std::mem::take(&mut c.counters),
                 std::mem::take(&mut c.gauges),
                 std::mem::take(&mut c.histograms),
                 std::mem::take(&mut c.spans),
-                std::mem::take(&mut c.tree),
                 std::mem::take(&mut c.events),
                 c.dropped,
             );
@@ -356,20 +353,12 @@ impl Recorder {
                 }
             }
         }
-        for (name, s) in spans {
-            let stats = inner.spans.entry(join(scope, &name)).or_default();
-            stats.count += s.count;
-            stats.total += s.total;
-            stats.max = stats.max.max(s.max);
-        }
-        for (path, s) in tree {
-            // The scope prefixes the path's *root* frame — `join` only
-            // touches the head of the string, so `"a;b"` under scope
-            // `"s"` becomes `"s/a;b"`, mirroring the flat span names.
-            let stats = inner.tree.entry(join(scope, &path)).or_default();
-            stats.count += s.count;
-            stats.total += s.total;
-            stats.max = stats.max.max(s.max);
+        for ((child_scope, path), s) in spans {
+            inner
+                .spans
+                .entry((join(scope, &child_scope), path))
+                .or_default()
+                .add(s.count, s.total, s.max);
         }
         for mut event in events {
             event.scope = join(scope, &event.scope);
@@ -391,17 +380,20 @@ impl Recorder {
 
     /// The deterministic trace: meta, events in record/absorb order, then
     /// counters, gauges, histograms and span counts in sorted name order.
-    /// Empty for a disabled recorder.
+    /// A span's traced name is its scope joined to its leaf frame
+    /// (`"table1/proposed/0/core.decide"`), its count summed over every
+    /// path ending in that frame. Empty for a disabled recorder.
     pub fn snapshot(&self) -> Vec<TraceLine> {
         let Some(inner) = self.lock() else {
             return Vec::new();
         };
+        let spans = by_leaf(&inner);
         let mut out = Vec::with_capacity(
             1 + inner.events.len()
                 + inner.counters.len()
                 + inner.gauges.len()
                 + inner.histograms.len()
-                + inner.spans.len(),
+                + spans.len(),
         );
         out.push(TraceLine::Meta(TraceMeta {
             schema: SCHEMA_VERSION,
@@ -433,9 +425,9 @@ impl Recorder {
                 max: h.max(),
             })
         }));
-        out.extend(inner.spans.iter().map(|(name, s)| {
+        out.extend(spans.into_iter().map(|(name, s)| {
             TraceLine::Span(SpanLine {
-                name: name.clone(),
+                name,
                 count: s.count,
             })
         }));
@@ -448,41 +440,19 @@ impl Recorder {
         lines_to_jsonl(self.snapshot().iter())
     }
 
-    /// The wall-clock span profile, sorted by name — the explicitly
-    /// non-deterministic sibling document of the trace.
-    pub fn profile_lines(&self) -> Vec<ProfileLine> {
-        let Some(inner) = self.lock() else {
-            return Vec::new();
-        };
-        inner
-            .spans
-            .iter()
-            .map(|(name, s)| ProfileLine {
-                name: name.clone(),
-                count: s.count,
-                total_s: s.total,
-                mean_s: if s.count == 0 {
-                    0.0
-                } else {
-                    s.total / s.count as f64
-                },
-                max_s: s.max,
-            })
-            .collect()
-    }
-
-    /// The hierarchical span tree, sorted by collapsed-stack path — the
-    /// second line kind of the profile document. Empty when no
-    /// [`SpanGuard`] or [`Recorder::record_span_path`] timing landed.
+    /// The wall-clock span tree, one node per scope-joined
+    /// collapsed-stack path (`"table1/proposed/0/sim.run;core.decide"`),
+    /// sorted by path — the explicitly non-deterministic sibling of the
+    /// trace. Empty when no [`SpanGuard`] or
+    /// [`Recorder::record_span_path`] timing landed.
     pub fn span_node_lines(&self) -> Vec<SpanNodeLine> {
         let Some(inner) = self.lock() else {
             return Vec::new();
         };
-        inner
-            .tree
-            .iter()
+        fold_spans(&inner, join)
+            .into_iter()
             .map(|(path, s)| SpanNodeLine {
-                path: path.clone(),
+                path,
                 count: s.count,
                 total_s: s.total,
                 max_s: s.max,
@@ -490,13 +460,10 @@ impl Recorder {
             .collect()
     }
 
-    /// The wall-clock profile as JSONL: flat [`ProfileLine`]s first,
-    /// then the span-tree [`SpanNodeLine`]s (parse both back with
-    /// [`crate::trace::parse_profile_doc`]).
+    /// The wall-clock profile as JSONL, one [`SpanNodeLine`] per line
+    /// (parse it back with [`crate::trace::parse_profile_jsonl`]).
     pub fn profile_jsonl(&self) -> String {
-        let mut out = lines_to_jsonl(self.profile_lines().iter());
-        out.push_str(&lines_to_jsonl(self.span_node_lines().iter()));
-        out
+        lines_to_jsonl(self.span_node_lines().iter())
     }
 
     /// Drain-free tail cursor over the event ring for live streaming:
@@ -558,6 +525,7 @@ impl Recorder {
         let Some(inner) = self.lock() else {
             return "telemetry: disabled".to_string();
         };
+        let spans = by_leaf(&inner);
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -568,7 +536,7 @@ impl Recorder {
             inner.counters.len(),
             inner.gauges.len(),
             inner.histograms.len(),
-            inner.spans.len(),
+            spans.len(),
         );
         if !inner.counters.is_empty() {
             let mut top: Vec<(&String, u64)> =
@@ -592,12 +560,12 @@ impl Recorder {
                 );
             }
         }
-        if !inner.spans.is_empty() {
+        if !spans.is_empty() {
             let _ = writeln!(
                 out,
                 "  span profile (WALL CLOCK — non-deterministic, excluded from the trace):"
             );
-            for (name, s) in &inner.spans {
+            for (name, s) in &spans {
                 let mean = if s.count == 0 {
                     0.0
                 } else {
@@ -621,6 +589,25 @@ fn push_capped(inner: &mut Inner, event: Event) {
         inner.dropped += 1;
     }
     inner.events.push_back(event);
+}
+
+/// Sum the span store into one aggregate per `key(scope, path)`,
+/// sorted by key.
+fn fold_spans(inner: &Inner, key: fn(&str, &str) -> String) -> BTreeMap<String, SpanStats> {
+    let mut out: BTreeMap<String, SpanStats> = BTreeMap::new();
+    for ((scope, path), s) in &inner.spans {
+        out.entry(key(scope, path))
+            .or_default()
+            .add(s.count, s.total, s.max);
+    }
+    out
+}
+
+/// The span store by traced name: scope joined to the path's leaf frame.
+fn by_leaf(inner: &Inner) -> BTreeMap<String, SpanStats> {
+    fold_spans(inner, |scope, path| {
+        join(scope, path.rsplit(';').next().unwrap_or(path))
+    })
 }
 
 /// Prefix `name` with `scope/`; either side may be empty.
@@ -647,12 +634,12 @@ fn lines_to_jsonl<'a, L: serde::Serialize + 'a>(lines: impl Iterator<Item = &'a 
     out
 }
 
-/// RAII wall-clock timer returned by [`Recorder::span`]; records on drop
-/// into both the flat per-name profile and the hierarchical span tree.
+/// RAII wall-clock timer returned by [`Recorder::span`]; records into
+/// the span tree on drop.
 #[must_use = "the span is timed until the guard drops"]
 #[derive(Debug)]
 pub struct SpanGuard {
-    target: Option<(Arc<Shared>, String)>,
+    target: Option<Arc<Shared>>,
     /// Collapsed-stack path computed at open time.
     path: String,
     /// Whether a frame was pushed onto this thread's stack (and must be
@@ -663,7 +650,7 @@ pub struct SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let (Some((shared, name)), Some(start)) = (self.target.take(), self.start.take()) {
+        if let (Some(shared), Some(start)) = (self.target.take(), self.start.take()) {
             let wall = start.elapsed().as_secs_f64();
             if self.framed {
                 let id = Arc::as_ptr(&shared) as usize;
@@ -682,17 +669,11 @@ impl Drop for SpanGuard {
                 });
             }
             let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-            let stats = inner.spans.entry(name).or_default();
-            stats.count += 1;
-            stats.total += wall;
-            stats.max = stats.max.max(wall);
-            let node = inner
-                .tree
-                .entry(std::mem::take(&mut self.path))
-                .or_default();
-            node.count += 1;
-            node.total += wall;
-            node.max = node.max.max(wall);
+            inner
+                .spans
+                .entry((String::new(), std::mem::take(&mut self.path)))
+                .or_default()
+                .add(1, wall, wall);
         }
     }
 }
@@ -701,6 +682,17 @@ impl Drop for SpanGuard {
 mod tests {
     use super::*;
 
+    /// The trace's `Span` lines as `(name, count)`.
+    fn span_counts(rec: &Recorder) -> Vec<(String, u64)> {
+        rec.snapshot()
+            .into_iter()
+            .filter_map(|l| match l {
+                TraceLine::Span(s) => Some((s.name, s.count)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn disabled_recorder_is_inert_and_empty() {
         let rec = Recorder::disabled();
@@ -708,12 +700,12 @@ mod tests {
         rec.gauge("b", 2.0);
         rec.observe("c", 3.0);
         rec.event("d", None, 0.0, &[]);
-        rec.record_span("e", 0.5);
+        rec.record_span_path("e", 0.5);
         drop(rec.span("f"));
         assert!(!rec.is_enabled());
         assert_eq!(rec.to_jsonl(), "");
         assert!(rec.snapshot().is_empty());
-        assert!(rec.profile_lines().is_empty());
+        assert!(rec.span_node_lines().is_empty());
         assert_eq!(rec.counter("a"), 0);
         assert_eq!(rec.summary(), "telemetry: disabled");
         assert!(!rec.sibling().is_enabled());
@@ -765,7 +757,7 @@ mod tests {
         child.incr("shared", 10);
         child.gauge("level", 4.5);
         child.observe("iters", 3.0);
-        child.record_span("job", 0.25);
+        child.record_span_path("job", 0.25);
         child.event("sim.slot", Some(0), 0.0, &[("battery_j", 8.0)]);
 
         let grandchild = child.sibling();
@@ -918,7 +910,7 @@ mod tests {
         rec.incr("calls", 7);
         rec.gauge("battery_j", 6.25);
         rec.observe_with("horizon", &[1.0, 2.0, 4.0, 8.0], 3.0);
-        rec.record_span("decide", 1e-6);
+        rec.record_span_path("decide", 1e-6);
         rec.event_with_detail(
             "sim.fault",
             None,
@@ -961,9 +953,9 @@ mod tests {
         {
             let _g = rec.span("work");
         }
-        let profile = rec.profile_lines();
+        let profile = rec.span_node_lines();
         assert_eq!(profile.len(), 1);
-        assert_eq!(profile[0].name, "work");
+        assert_eq!(profile[0].path, "work");
         assert_eq!(profile[0].count, 1);
         assert!(profile[0].total_s >= 0.0);
     }
@@ -993,9 +985,15 @@ mod tests {
                 ("sim.run;core.decide;core.replan", 1),
             ]
         );
-        // The flat profile is untouched by the hierarchy: leaf names only.
-        let flat: Vec<String> = rec.profile_lines().into_iter().map(|p| p.name).collect();
-        assert_eq!(flat, vec!["core.decide", "core.replan", "sim.run"]);
+        // The trace counts leaf frames, summed over every path.
+        assert_eq!(
+            span_counts(&rec),
+            vec![
+                ("core.decide".to_string(), 3),
+                ("core.replan".to_string(), 1),
+                ("sim.run".to_string(), 1),
+            ]
+        );
     }
 
     #[test]
@@ -1034,7 +1032,7 @@ mod tests {
         let rec = Recorder::enabled("t");
         rec.record_span_path("run;job", 0.5);
         rec.record_span_path("run;job", 0.25);
-        assert!(rec.profile_lines().is_empty());
+        assert_eq!(span_counts(&rec), vec![("job".to_string(), 2)]);
         let nodes = rec.span_node_lines();
         assert_eq!(nodes.len(), 1);
         assert_eq!(nodes[0].path, "run;job");
@@ -1044,15 +1042,15 @@ mod tests {
     }
 
     #[test]
-    fn profile_document_round_trips_both_line_kinds() {
+    fn profile_document_round_trips_span_tree_lines() {
         let rec = Recorder::enabled("t");
         {
             let _outer = rec.span("run");
             let _inner = rec.span("step");
         }
         let doc = rec.profile_jsonl();
-        let (flat, tree) = crate::trace::parse_profile_doc(&doc).expect("parses");
-        assert_eq!(flat.len(), 2);
+        let tree = crate::trace::parse_profile_jsonl(&doc).expect("parses");
+        assert_eq!(tree, rec.span_node_lines());
         assert_eq!(tree.len(), 2);
         assert_eq!(tree[1].path, "run;step");
         // The trace still carries only the deterministic span counts.
@@ -1060,11 +1058,40 @@ mod tests {
     }
 
     #[test]
+    fn span_keys_are_scope_proof() {
+        let root = Recorder::enabled("root");
+        let record = || {
+            let child = root.sibling();
+            {
+                let _a = child.span("a");
+                let _b = child.span("b");
+            }
+            child.record_span_path("run;job", 0.5);
+            child.record_span_path("run", 0.75);
+            child
+        };
+        // Scopes that themselves contain the path and scope separators.
+        root.absorb("x;y", &record());
+        root.absorb("s/t@1", &record());
+        // The trace names are scope joined to leaf frame.
+        let names = |scope: &str| ["a", "b", "job", "run"].map(|n| (format!("{scope}/{n}"), 1));
+        let mut want: Vec<(String, u64)> = names("s/t@1").into();
+        want.extend(names("x;y"));
+        assert_eq!(span_counts(&root), want);
+        // The profile paths are scope joined to the full path.
+        let paths: Vec<String> = root.span_node_lines().into_iter().map(|n| n.path).collect();
+        let tree = |scope: &str| ["a", "a;b", "run", "run;job"].map(|p| format!("{scope}/{p}"));
+        let mut want: Vec<String> = tree("s/t@1").into();
+        want.extend(tree("x;y"));
+        assert_eq!(paths, want);
+    }
+
+    #[test]
     fn summary_mentions_the_sections() {
         let rec = Recorder::enabled("sum");
         rec.incr("calls", 3);
         rec.observe("iters", 5.0);
-        rec.record_span("job", 0.01);
+        rec.record_span_path("job", 0.01);
         let s = rec.summary();
         assert!(s.contains("telemetry[sum]"), "{s}");
         assert!(s.contains("top counters"), "{s}");

@@ -4,7 +4,7 @@
 //! traces byte-for-byte — so every type is a plain non-generic struct
 //! with explicit field names, and the deterministic trace and the
 //! wall-clock profile are **separate documents**: [`TraceLine`] never
-//! carries a wall-clock field, [`ProfileLine`] carries nothing else.
+//! carries a wall-clock field, [`SpanNodeLine`] carries nothing else.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -86,7 +86,7 @@ pub struct HistogramLine {
 }
 
 /// The deterministic face of a span timer: how many times it ran. The
-/// wall-clock side lives in [`ProfileLine`], outside the trace.
+/// wall-clock side lives in [`SpanNodeLine`], outside the trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanLine {
     /// Scope-qualified span name.
@@ -112,27 +112,11 @@ pub enum TraceLine {
     Span(SpanLine),
 }
 
-/// One line of the **wall-clock profile** — the explicitly separate,
-/// non-reproducible document written next to the trace (`<path>.profile`)
-/// and rendered in the stderr summary. Never part of the trace itself.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProfileLine {
-    /// Scope-qualified span name.
-    pub name: String,
-    /// Completed span executions.
-    pub count: u64,
-    /// Total wall-clock seconds across executions.
-    pub total_s: f64,
-    /// Mean wall-clock seconds per execution.
-    pub mean_s: f64,
-    /// Longest single execution (s).
-    pub max_s: f64,
-}
-
-/// One node of the **hierarchical wall-clock span tree** — the second
-/// line kind of the profile document. `path` is a collapsed-stack path
-/// (`;`-separated frames, root first), so the document doubles as
-/// flamegraph input. Like [`ProfileLine`], never part of the trace.
+/// One node of the **hierarchical wall-clock span tree** — the one line
+/// kind of the `.profile` document written next to the trace
+/// (`<path>.profile`). `path` is a collapsed-stack path (`;`-separated
+/// frames, root first), so the document doubles as flamegraph input.
+/// Never part of the trace itself.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanNodeLine {
     /// Collapsed-stack path: `;`-joined span names from the root frame
@@ -197,47 +181,14 @@ pub fn parse_trace_jsonl(input: &str) -> Result<Vec<TraceLine>, ParseError> {
     trace_jsonl_lines(input).collect()
 }
 
-/// Parse a wall-clock profile document (one [`ProfileLine`] per non-blank
-/// line) — the inverse of [`crate::Recorder::profile_jsonl`].
+/// Parse a wall-clock profile document (one [`SpanNodeLine`] per
+/// non-blank line) — the inverse of [`crate::Recorder::profile_jsonl`].
 ///
 /// # Errors
-/// [`ParseError`] naming the first line that does not deserialize.
-pub fn parse_profile_jsonl(input: &str) -> Result<Vec<ProfileLine>, ParseError> {
+/// [`ParseError`] naming the first line that does not deserialize —
+/// line 1 of a profile written in the older flat per-name format.
+pub fn parse_profile_jsonl(input: &str) -> Result<Vec<SpanNodeLine>, ParseError> {
     jsonl_lines(input).collect()
-}
-
-/// Parse a complete profile document, which since the hierarchical
-/// profiler holds **two** line kinds: flat per-name aggregates
-/// ([`ProfileLine`], requires `name`) and span-tree nodes
-/// ([`SpanNodeLine`], requires `path`). Each line is tried as a flat
-/// line first; the required fields are disjoint, so the fallback is
-/// unambiguous. Blank lines are skipped.
-///
-/// # Errors
-/// [`ParseError`] naming the first line that parses as neither kind.
-pub fn parse_profile_doc(input: &str) -> Result<(Vec<ProfileLine>, Vec<SpanNodeLine>), ParseError> {
-    let mut flat = Vec::new();
-    let mut tree = Vec::new();
-    for (i, line) in input.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<ProfileLine>(line) {
-            Ok(parsed) => flat.push(parsed),
-            Err(flat_err) => match serde_json::from_str::<SpanNodeLine>(line) {
-                Ok(parsed) => tree.push(parsed),
-                Err(tree_err) => {
-                    return Err(ParseError {
-                        line: i + 1,
-                        message: format!(
-                            "neither a flat profile line ({flat_err}) nor a span-tree line ({tree_err})"
-                        ),
-                    })
-                }
-            },
-        }
-    }
-    Ok((flat, tree))
 }
 
 #[cfg(test)]
@@ -338,18 +289,17 @@ mod tests {
         assert_eq!(err.line, 2);
         assert!(!err.to_string().is_empty());
         // A profile document is not a trace document.
-        let profile = serde_json::to_string(&ProfileLine {
-            name: "job".into(),
+        let profile = serde_json::to_string(&SpanNodeLine {
+            path: "run;job".into(),
             count: 1,
             total_s: 0.5,
-            mean_s: 0.5,
             max_s: 0.5,
         })
         .unwrap();
         assert!(parse_trace_jsonl(&profile).is_err());
         let parsed = parse_profile_jsonl(&profile).unwrap();
         assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].name, "job");
+        assert_eq!(parsed[0].path, "run;job");
     }
 
     #[test]
@@ -364,55 +314,26 @@ mod tests {
         let back: SpanNodeLine = serde_json::from_str(&json).unwrap();
         assert_eq!(back, node);
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
-        // A span-tree line is neither a trace line nor a flat profile
-        // line — the three documents stay mutually unambiguous.
+        // A span-tree line is not a trace line: the two documents stay
+        // mutually unambiguous.
         assert!(serde_json::from_str::<TraceLine>(&json).is_err());
-        assert!(serde_json::from_str::<ProfileLine>(&json).is_err());
     }
 
     #[test]
-    fn parse_profile_doc_splits_flat_and_tree_lines() {
-        let flat = ProfileLine {
-            name: "core.decide".into(),
-            count: 24,
-            total_s: 1.0,
-            mean_s: 1.0 / 24.0,
-            max_s: 0.25,
-        };
+    fn parse_profile_jsonl_rejects_the_flat_per_name_format() {
         let node = SpanNodeLine {
             path: "sim.run;core.decide".into(),
             count: 24,
             total_s: 1.0,
             max_s: 0.25,
         };
-        let doc = format!(
-            "{}\n\n{}\n",
-            serde_json::to_string(&flat).unwrap(),
-            serde_json::to_string(&node).unwrap(),
-        );
-        let (flats, nodes) = parse_profile_doc(&doc).unwrap();
-        assert_eq!(flats, vec![flat]);
-        assert_eq!(nodes, vec![node]);
-        let (flats, nodes) = parse_profile_doc("").unwrap();
-        assert!(flats.is_empty() && nodes.is_empty());
-        let err = parse_profile_doc("{\"count\":1}\n").unwrap_err();
+        let doc = format!("{}\n\n", serde_json::to_string(&node).unwrap());
+        assert_eq!(parse_profile_jsonl(&doc).unwrap(), vec![node]);
+        assert!(parse_profile_jsonl("").unwrap().is_empty());
+        // An older profile opens with flat `name`-keyed lines: rejected at
+        // line 1 rather than read as an empty tree.
+        let flat = "{\"name\":\"core.decide\",\"count\":24,\"total_s\":1.0,\"mean_s\":0.04,\"max_s\":0.25}\n";
+        let err = parse_profile_jsonl(&format!("{flat}{doc}")).unwrap_err();
         assert_eq!(err.line, 1);
-        assert!(err.message.contains("span-tree"), "{err}");
-    }
-
-    #[test]
-    fn profile_lines_round_trip_but_stay_separate() {
-        let p = ProfileLine {
-            name: "table1.job".into(),
-            count: 12,
-            total_s: 0.5,
-            mean_s: 0.5 / 12.0,
-            max_s: 0.1,
-        };
-        let json = serde_json::to_string(&p).unwrap();
-        let back: ProfileLine = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
-        // A ProfileLine is not a TraceLine: parsing it as one must fail.
-        assert!(serde_json::from_str::<TraceLine>(&json).is_err());
     }
 }

@@ -14,8 +14,6 @@
 //!   decoded context (the determinism gate);
 //! - [`summary`] — per-run report: activity counters, safety transition
 //!   census, histogram quantiles, ASCII battery trajectories;
-//! - [`bench`] — condense wall-clock `.profile` documents into committed
-//!   `BENCH_<name>.json` baselines and check fresh profiles against them;
 //! - [`fleet`] — aggregate the per-shard `fleet.*` metrics of a
 //!   `campaign --fleet` trace into one population report: survival
 //!   fraction, interpolated battery-floor percentiles, shed census;
@@ -25,7 +23,9 @@
 //!   engine behind the `dpm-serve` metrics snapshot;
 //! - [`profile`] — hierarchical span-tree analysis of `.profile`
 //!   documents: self-time vs total-time attribution, flamegraph
-//!   collapse, and a committed-baseline check.
+//!   collapse, and the one perf gate — condense a profile into a
+//!   committed `BENCH_<name>.json` baseline and check fresh profiles
+//!   against it.
 //!
 //! The `dpm-analyze` binary in `dpm-bench` fronts these as commands.
 //!
@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod bench;
 pub mod diff;
 mod error;
 pub mod fleet;
@@ -46,12 +45,13 @@ pub mod rollup;
 pub mod summary;
 
 pub use audit::{audit, AuditConfig, AuditReport, AuditState, Violation};
-pub use bench::{check as bench_check, BenchBaseline, BenchSpan, Regression, BENCH_SCHEMA};
 pub use diff::{first_divergence, Divergence};
 pub use error::TraceError;
 pub use fleet::{render as render_fleet, summarize as summarize_fleet, FleetSummary};
 pub use model::{split_scoped, Trace};
-pub use profile::{render as render_profile, SpanNode};
+pub use profile::{
+    render as render_profile, BenchBaseline, BenchSpan, Regression, SpanNode, BENCH_SCHEMA,
+};
 pub use rollup::{Rollup, RollupWindow};
 pub use summary::{quantile, render as render_summary};
 

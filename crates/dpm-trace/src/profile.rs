@@ -1,17 +1,182 @@
-//! Hierarchical span-tree analysis over `.profile` documents.
+//! Hierarchical span-tree analysis over `.profile` documents, and the
+//! perf gate built on them.
 //!
-//! The profiler ([`dpm_telemetry::Recorder::span`]) emits collapsed-stack
-//! [`SpanNodeLine`]s next to the flat per-name aggregates. This module
+//! The profiler ([`dpm_telemetry::Recorder::span`]) writes one
+//! collapsed-stack [`SpanNodeLine`] per span-tree node. This module
 //! derives parent/child attribution from those paths: **self time**
 //! (a node's total minus its direct children's totals) versus **total
-//! time**, a DFS tree rendering, a collapsed-stack flamegraph export,
-//! and a committed-baseline check reusing the [`crate::bench`] gate so
-//! the hottest span (ROADMAP item 3 names the §4.2 parameter scheduler)
-//! is a CI-tracked number rather than a guess.
+//! time**, a DFS tree rendering, and a collapsed-stack flamegraph export.
+//!
+//! A profile is non-reproducible by design — wall clock varies run to
+//! run — but its *shape* is stable: the same paths run the same number
+//! of times, and their mean durations drift only when the code
+//! regresses. [`BenchBaseline`] condenses a profile into a committed
+//! `BENCH_<name>.json` and [`check`] gates fresh profiles against it
+//! within a tolerance band, so the hot layers (§4.1 `alloc.compute`,
+//! §4.2 `params.plan`, §4.3 `core.decide;core.replan`) are CI-tracked
+//! numbers rather than guesses.
 
-use crate::bench::{self, BenchBaseline, Regression};
-use dpm_telemetry::{ProfileLine, SpanNodeLine};
+use crate::error::TraceError;
+use dpm_telemetry::SpanNodeLine;
+use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
+
+/// Version stamp of the baseline document format.
+pub const BENCH_SCHEMA: u32 = 1;
+
+/// One span-tree node's condensed timing in a baseline.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct BenchSpan {
+    /// Collapsed-stack path of the node.
+    pub name: String,
+    /// Completed executions.
+    pub count: u64,
+    /// Total wall-clock seconds.
+    pub total_s: f64,
+    /// Mean wall-clock seconds per execution.
+    pub mean_s: f64,
+    /// Longest single execution (s).
+    pub max_s: f64,
+}
+
+/// A committed performance baseline.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct BenchBaseline {
+    /// [`BENCH_SCHEMA`] at write time.
+    pub schema: u32,
+    /// Baseline name (`"repro"`, …).
+    pub name: String,
+    /// Spans sorted by path.
+    pub spans: Vec<BenchSpan>,
+}
+
+/// One span that regressed against the baseline.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Regression {
+    /// The offending span path.
+    pub span: String,
+    /// What regressed and by how much.
+    pub message: String,
+}
+
+/// Mean wall-clock seconds per execution (`0.0` for an unexecuted node).
+fn mean_s(line: &SpanNodeLine) -> f64 {
+    if line.count == 0 {
+        0.0
+    } else {
+        line.total_s / line.count as f64
+    }
+}
+
+impl BenchBaseline {
+    /// Condense a parsed profile into a named baseline, spans sorted by
+    /// path so the JSON is deterministic up to the timing values.
+    pub fn from_profile(name: &str, profile: &[SpanNodeLine]) -> Self {
+        let mut spans: Vec<BenchSpan> = profile
+            .iter()
+            .map(|n| BenchSpan {
+                name: n.path.clone(),
+                count: n.count,
+                total_s: n.total_s,
+                mean_s: mean_s(n),
+                max_s: n.max_s,
+            })
+            .collect();
+        spans.sort_by(|a, b| a.name.cmp(&b.name));
+        Self {
+            schema: BENCH_SCHEMA,
+            name: name.to_string(),
+            spans,
+        }
+    }
+
+    /// Serialize to the committed JSON form (pretty, trailing newline).
+    pub fn to_json(&self) -> String {
+        let mut json = serde_json::to_string_pretty(self).unwrap_or_default();
+        json.push('\n');
+        json
+    }
+
+    /// Parse a committed baseline document.
+    ///
+    /// # Errors
+    /// [`TraceError::InvalidBaseline`] when the document does not
+    /// deserialize or advertises an unknown schema.
+    pub fn parse(input: &str) -> Result<Self, TraceError> {
+        let baseline: Self =
+            serde_json::from_str(input).map_err(|e| TraceError::InvalidBaseline(e.to_string()))?;
+        if baseline.schema != BENCH_SCHEMA {
+            return Err(TraceError::InvalidBaseline(format!(
+                "baseline schema v{} is not the v{BENCH_SCHEMA} this analyzer understands",
+                baseline.schema
+            )));
+        }
+        Ok(baseline)
+    }
+}
+
+/// Check a fresh profile against a committed baseline.
+///
+/// A span regresses when it vanished, its deterministic call count
+/// changed (that is a behavior change, not noise), or its mean duration
+/// exceeds the baseline's by more than `tolerance_pct` percent. Spans
+/// present in the candidate but not the baseline are reported too — new
+/// hot paths should enter the baseline deliberately. Returns the empty
+/// vector when the profile is within the band.
+pub fn check(
+    baseline: &BenchBaseline,
+    candidate: &[SpanNodeLine],
+    tolerance_pct: f64,
+) -> Vec<Regression> {
+    let mut regressions = Vec::new();
+    let factor = 1.0 + tolerance_pct / 100.0;
+    for base in &baseline.spans {
+        let Some(cur) = candidate.iter().find(|n| n.path == base.name) else {
+            regressions.push(Regression {
+                span: base.name.clone(),
+                message: "span missing from the candidate profile".into(),
+            });
+            continue;
+        };
+        if cur.count != base.count {
+            regressions.push(Regression {
+                span: base.name.clone(),
+                message: format!(
+                    "call count changed: baseline {}, candidate {} (deterministic counts must match)",
+                    base.count, cur.count
+                ),
+            });
+        }
+        // Allow an absolute noise floor so short spans do not flap on
+        // scheduler noise. Two components: 1 µs of timer jitter per
+        // measurement, plus a 100 µs preemption budget amortized over
+        // the call count — a one-shot 50 µs span doubles when the
+        // scheduler steals its core once, but the same spike divided
+        // across thousands of calls is invisible in the mean, so the
+        // slack shrinks as 1/count and stays negligible on hot paths.
+        let noise_floor = 1e-6 + 1e-4 / base.count.max(1) as f64;
+        let limit = base.mean_s * factor + noise_floor;
+        let cur_mean = mean_s(cur);
+        if cur_mean > limit {
+            regressions.push(Regression {
+                span: base.name.clone(),
+                message: format!(
+                    "mean {cur_mean:.6}s exceeds baseline {:.6}s by more than {tolerance_pct}%",
+                    base.mean_s
+                ),
+            });
+        }
+    }
+    for cur in candidate {
+        if !baseline.spans.iter().any(|s| s.name == cur.path) {
+            regressions.push(Regression {
+                span: cur.path.clone(),
+                message: "span absent from the baseline (re-generate it to admit new spans)".into(),
+            });
+        }
+    }
+    regressions
+}
 
 /// One analyzed span-tree node.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,37 +335,6 @@ pub fn collapse(lines: &[SpanNodeLine]) -> String {
     out
 }
 
-/// Map span-tree lines onto flat profile lines (name = path) so the
-/// [`crate::bench`] machinery can condense and gate them unchanged.
-pub fn to_profile_lines(lines: &[SpanNodeLine]) -> Vec<ProfileLine> {
-    lines
-        .iter()
-        .map(|n| ProfileLine {
-            name: n.path.clone(),
-            count: n.count,
-            total_s: n.total_s,
-            mean_s: if n.count == 0 {
-                0.0
-            } else {
-                n.total_s / n.count as f64
-            },
-            max_s: n.max_s,
-        })
-        .collect()
-}
-
-/// Condense span-tree lines into a committed baseline (paths as names).
-pub fn baseline(name: &str, lines: &[SpanNodeLine]) -> BenchBaseline {
-    BenchBaseline::from_profile(name, &to_profile_lines(lines))
-}
-
-/// Check span-tree lines against a committed baseline: path set and
-/// deterministic call counts must match exactly, mean durations within
-/// `tolerance_pct` — the same contract as [`crate::bench::check`].
-pub fn check(base: &BenchBaseline, lines: &[SpanNodeLine], tolerance_pct: f64) -> Vec<Regression> {
-    bench::check(base, &to_profile_lines(lines), tolerance_pct)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,8 +433,82 @@ mod tests {
     }
 
     #[test]
+    fn baseline_round_trips_and_sorts_spans() {
+        let base = BenchBaseline::from_profile("repro", &sample());
+        assert_eq!(base.schema, BENCH_SCHEMA);
+        let names: Vec<&str> = base.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            vec![
+                "params.plan",
+                "sim.run",
+                "sim.run;core.decide",
+                "sim.run;core.decide;core.replan"
+            ]
+        );
+        assert!((base.spans[2].mean_s - 0.025).abs() < 1e-12);
+        let json = base.to_json();
+        assert!(json.ends_with('\n'));
+        let back = BenchBaseline::parse(&json).expect("parses");
+        assert_eq!(back, base);
+    }
+
+    #[test]
+    fn malformed_and_future_baselines_are_rejected() {
+        assert!(matches!(
+            BenchBaseline::parse("not json"),
+            Err(TraceError::InvalidBaseline(_))
+        ));
+        let base = BenchBaseline::from_profile("repro", &sample());
+        let bumped = base.to_json().replacen("1", "9", 1);
+        assert!(matches!(
+            BenchBaseline::parse(&bumped),
+            Err(TraceError::InvalidBaseline(_))
+        ));
+    }
+
+    #[test]
+    fn identical_profile_is_within_band() {
+        let base = BenchBaseline::from_profile("repro", &sample());
+        assert!(check(&base, &sample(), 10.0).is_empty());
+    }
+
+    #[test]
+    fn slow_span_regresses_but_tolerance_absorbs_noise() {
+        let base = BenchBaseline::from_profile("repro", &sample());
+        let mut cur = sample();
+        cur[1].total_s = 0.63; // +5% on sim.run;core.decide
+        assert!(check(&base, &cur, 10.0).is_empty());
+        cur[1].total_s = 0.9; // +50%
+        let regs = check(&base, &cur, 10.0);
+        assert_eq!(regs.len(), 1);
+        assert_eq!(regs[0].span, "sim.run;core.decide");
+        assert!(regs[0].message.contains("exceeds baseline"));
+    }
+
+    #[test]
+    fn count_changes_and_missing_or_new_spans_are_regressions() {
+        let base = BenchBaseline::from_profile("repro", &sample());
+        let mut cur = sample();
+        cur[1].count = 25;
+        let regs = check(&base, &cur, 50.0);
+        assert!(regs.iter().any(|r| r.message.contains("call count")));
+
+        let removed: Vec<SpanNodeLine> = sample().into_iter().skip(1).collect();
+        let regs = check(&base, &removed, 50.0);
+        assert!(regs
+            .iter()
+            .any(|r| r.span == "sim.run" && r.message.contains("missing")));
+
+        let mut added = sample();
+        added.push(node("sim.run;new.span", 1, 0.0));
+        let regs = check(&base, &added, 50.0);
+        assert!(regs.iter().any(|r| r.span == "sim.run;new.span"));
+    }
+
+    #[test]
     fn baseline_check_round_trips_and_flags_count_changes() {
-        let base = baseline("profile", &sample());
+        let base = BenchBaseline::from_profile("profile", &sample());
         assert!(check(&base, &sample(), 50.0).is_empty());
         let mut changed = sample();
         changed[1].count = 25;

@@ -1,7 +1,7 @@
 //! End-to-end contract for the trace analyzer: `dpm-analyze audit` must
 //! pass on clean traces produced by the real harnesses, fail with a
 //! pinpointed `(scope, seq, slot)` on deliberately corrupted ones, the
-//! diff must report the first diverging line, and the bench pipeline must
+//! diff must report the first diverging line, and the profile gate must
 //! round-trip a baseline and gate regressions — both through the library
 //! API and through the installed binary (exit codes included).
 
@@ -267,80 +267,11 @@ fn analyze_binary_audits_diffs_and_summarizes() {
 }
 
 #[test]
-fn bench_baseline_round_trips_and_gates_regressions() {
-    // A real profile from a real run.
-    let telemetry = Recorder::enabled("repro");
-    let rec = telemetry.sibling();
-    let platform = Platform::pama();
-    let s1 = scenarios::scenario_one();
-    experiments::table3_5_with(&platform, &s1, experiments::DEFAULT_PERIODS, &rec).unwrap();
-    telemetry.absorb("table3", &rec);
-    let profile_jsonl = telemetry.profile_jsonl();
-    assert!(!profile_jsonl.is_empty(), "run must record span timings");
-
-    let profile_path = temp_path("run.profile");
-    let baseline_path = temp_path("BENCH_test.json");
-    std::fs::write(&profile_path, &profile_jsonl).unwrap();
-
-    let (code, stdout, _) = analyze(&[
-        "bench",
-        profile_path.to_str().unwrap(),
-        "--name",
-        "test",
-        "--out",
-        baseline_path.to_str().unwrap(),
-    ]);
-    assert_eq!(code, 0, "{stdout}");
-    let baseline = BenchBaseline::parse(&std::fs::read_to_string(&baseline_path).unwrap()).unwrap();
-    assert!(!baseline.spans.is_empty());
-
-    // The identical profile passes at any tolerance.
-    let (code, stdout, _) = analyze(&[
-        "bench",
-        profile_path.to_str().unwrap(),
-        "--check",
-        baseline_path.to_str().unwrap(),
-        "--tolerance",
-        "5",
-    ]);
-    assert_eq!(code, 0, "{stdout}");
-    assert!(stdout.contains("bench OK"), "{stdout}");
-
-    // Inject a 10x mean regression into every span and watch the gate trip.
-    let slow: String = dpm_telemetry::parse_profile_doc(&profile_jsonl)
-        .unwrap()
-        .0
-        .into_iter()
-        .map(|mut p| {
-            p.mean_s *= 10.0;
-            p.total_s *= 10.0;
-            serde_json::to_string(&p).unwrap() + "\n"
-        })
-        .collect();
-    let slow_path = temp_path("slow.profile");
-    std::fs::write(&slow_path, &slow).unwrap();
-    let (code, _, stderr) = analyze(&[
-        "bench",
-        slow_path.to_str().unwrap(),
-        "--check",
-        baseline_path.to_str().unwrap(),
-        "--tolerance",
-        "25",
-    ]);
-    assert_eq!(code, 1);
-    assert!(stderr.contains("regression"), "{stderr}");
-    assert!(stderr.contains("exceeds baseline"), "{stderr}");
-
-    let _ = std::fs::remove_file(profile_path);
-    let _ = std::fs::remove_file(baseline_path);
-    let _ = std::fs::remove_file(slow_path);
-}
-
-#[test]
 fn profile_subcommand_renders_the_span_tree_and_gates_regressions() {
     // A real Table 1 run: the Oracle baseline exercises the §4.2
     // parameter scheduler (`params.plan`), the proposed controller the
-    // replan path (`sim.run` → `core.decide` → `core.replan`).
+    // replan path (`sim.run` → `core.decide` → `core.replan`). A Table 3
+    // run absorbed under a scope joins it in the same profile.
     let telemetry = Recorder::enabled("repro");
     let platform = Platform::pama();
     let scenarios = [scenarios::scenario_one(), scenarios::scenario_two()];
@@ -352,7 +283,15 @@ fn profile_subcommand_renders_the_span_tree_and_gates_regressions() {
         &telemetry,
     )
     .unwrap();
+    let rec = telemetry.sibling();
+    experiments::table3_5_with(&platform, &scenarios[0], experiments::DEFAULT_PERIODS, &rec)
+        .unwrap();
+    telemetry.absorb("table3", &rec);
     let profile_jsonl = telemetry.profile_jsonl();
+    assert!(
+        profile_jsonl.contains("\"path\":\"table3/"),
+        "absorbed scope missing from the profile"
+    );
     let profile_path = temp_path("tree.profile");
     std::fs::write(&profile_path, &profile_jsonl).unwrap();
 
@@ -387,6 +326,8 @@ fn profile_subcommand_renders_the_span_tree_and_gates_regressions() {
         baseline_path.to_str().unwrap(),
     ]);
     assert_eq!(code, 0, "{stdout}");
+    let baseline = BenchBaseline::parse(&std::fs::read_to_string(&baseline_path).unwrap()).unwrap();
+    assert!(baseline.spans.iter().any(|s| s.name.starts_with("table3/")));
     let (code, stdout, _) = analyze(&[
         "profile",
         profile_path.to_str().unwrap(),
@@ -399,9 +340,8 @@ fn profile_subcommand_renders_the_span_tree_and_gates_regressions() {
     assert!(stdout.contains("profile OK"), "{stdout}");
 
     // Slow every tree node 10x; the gate must trip.
-    let slow: String = dpm_telemetry::parse_profile_doc(&profile_jsonl)
+    let slow: String = dpm_telemetry::parse_profile_jsonl(&profile_jsonl)
         .unwrap()
-        .1
         .into_iter()
         .map(|mut n| {
             n.total_s *= 10.0;
@@ -420,8 +360,34 @@ fn profile_subcommand_renders_the_span_tree_and_gates_regressions() {
     ]);
     assert_eq!(code, 1);
     assert!(stderr.contains("regression"), "{stderr}");
+    assert!(stderr.contains("exceeds baseline"), "{stderr}");
 
     let _ = std::fs::remove_file(profile_path);
     let _ = std::fs::remove_file(baseline_path);
     let _ = std::fs::remove_file(slow_path);
+}
+
+#[test]
+fn old_profile_format_and_retired_bench_command_are_rejected() {
+    // A profile in the older format opens with flat per-name lines; the
+    // gate must refuse it at line 1 rather than check half a document.
+    let old =
+        "{\"name\":\"table1.job\",\"count\":12,\"total_s\":0.24,\"mean_s\":0.02,\"max_s\":0.05}\n\
+               {\"path\":\"table1.run;table1.job\",\"count\":12,\"total_s\":0.24,\"max_s\":0.05}\n";
+    let old_path = temp_path("old.profile");
+    std::fs::write(&old_path, old).unwrap();
+    let (code, _, stderr) = analyze(&[
+        "profile",
+        old_path.to_str().unwrap(),
+        "--check",
+        "BENCH_repro.json",
+    ]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("line 1:"), "{stderr}");
+
+    let (code, _, stderr) = analyze(&["bench", old_path.to_str().unwrap()]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("unknown command `bench`"), "{stderr}");
+
+    let _ = std::fs::remove_file(old_path);
 }

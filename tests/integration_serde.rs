@@ -312,7 +312,6 @@ fn committed_bench_baselines_rewrite_byte_identically() {
             "BENCH_campaign.json",
             include_str!("../BENCH_campaign.json"),
         ),
-        ("BENCH_profile.json", include_str!("../BENCH_profile.json")),
     ] {
         let parsed = BenchBaseline::parse(text).unwrap();
         assert_eq!(

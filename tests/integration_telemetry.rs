@@ -60,8 +60,8 @@ fn profiler_activity_never_leaks_into_the_trace() {
     let (trace_4, profile_4) = run(4);
     assert_eq!(trace_1, trace_4);
 
-    let (_, tree_1) = dpm_telemetry::parse_profile_doc(&profile_1).unwrap();
-    let (_, tree_4) = dpm_telemetry::parse_profile_doc(&profile_4).unwrap();
+    let tree_1 = dpm_telemetry::parse_profile_jsonl(&profile_1).unwrap();
+    let tree_4 = dpm_telemetry::parse_profile_jsonl(&profile_4).unwrap();
     assert!(!tree_1.is_empty(), "profiler recorded no span-tree nodes");
     assert!(
         tree_1.iter().any(|n| n.path.contains("params.plan")),
@@ -80,18 +80,54 @@ fn profiler_activity_never_leaks_into_the_trace() {
     };
     assert_eq!(shape(&tree_1), shape(&tree_4));
 
-    // Every profile line — flat or tree — round-trips through serde
-    // untouched.
+    // Every profile line round-trips through serde untouched.
     for (i, line) in profile_1.lines().enumerate() {
-        let again = match serde_json::from_str::<dpm_telemetry::ProfileLine>(line) {
-            Ok(flat) => serde_json::to_string(&flat).unwrap(),
-            Err(_) => {
-                let node: dpm_telemetry::SpanNodeLine = serde_json::from_str(line).unwrap();
-                serde_json::to_string(&node).unwrap()
-            }
-        };
+        let node: dpm_telemetry::SpanNodeLine = serde_json::from_str(line).unwrap();
+        let again = serde_json::to_string(&node).unwrap();
         assert_eq!(line, again, "profile line {i} did not round-trip");
     }
+}
+
+#[test]
+fn trace_span_counts_sum_the_profile_tree_per_scope_and_leaf() {
+    // One span store feeds both documents: every trace `Span` count must
+    // equal the sum of the `.profile` tree counts whose path has that
+    // scope and leaf frame.
+    let telemetry = Recorder::enabled("repro");
+    let platform = Platform::pama();
+    let scenarios = [scenarios::scenario_one(), scenarios::scenario_two()];
+    experiments::table1_jobs_with(&platform, &scenarios, 2, 2, &telemetry).unwrap();
+    let rec = telemetry.sibling();
+    experiments::table3_5_with(&platform, &scenarios[0], 2, &rec).unwrap();
+    telemetry.absorb("table3", &rec);
+
+    let traced: std::collections::BTreeMap<String, u64> = telemetry
+        .snapshot()
+        .into_iter()
+        .filter_map(|line| match line {
+            TraceLine::Span(s) => Some((s.name, s.count)),
+            _ => None,
+        })
+        .collect();
+    let mut derived = std::collections::BTreeMap::<String, u64>::new();
+    for node in dpm_telemetry::parse_profile_jsonl(&telemetry.profile_jsonl()).unwrap() {
+        // The scope prefixes the root frame; the leaf is the last frame.
+        let root = node.path.split(';').next().unwrap();
+        let (scope, stack) = match root.rfind('/') {
+            Some(i) => (&node.path[..i], &node.path[i + 1..]),
+            None => ("", node.path.as_str()),
+        };
+        let leaf = stack.rsplit(';').next().unwrap();
+        let name = if scope.is_empty() {
+            leaf.to_string()
+        } else {
+            format!("{scope}/{leaf}")
+        };
+        *derived.entry(name).or_default() += node.count;
+    }
+    assert!(traced.keys().any(|name| name.starts_with("table3/")));
+    assert!(traced.len() > 10, "suspiciously few spans: {traced:?}");
+    assert_eq!(traced, derived);
 }
 
 #[test]
