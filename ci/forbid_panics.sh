@@ -12,8 +12,9 @@
 # (the power-topology robustness kernel: a panic mid-cascade would strand
 # the tree in an illegal configuration), plus
 # the dpm-bench runner, campaign, fleet, and topology modules, the
-# simulation engine, its struct-of-arrays fleet core and its topology
-# runtime, and the dpm-workloads
+# governed simulation, the board engine and every module its slot loop
+# calls into (battery, board, processor, events and event queue, gauge,
+# reports), the topology runtime, and the dpm-workloads
 # fault-plan and fleet-population generators (the fault-injection path
 # must degrade through typed errors, never abort a campaign), and all of
 # crates/dpm-serve/src (a long-running service digesting hostile NDJSON
@@ -46,6 +47,13 @@ for f in $(find crates/dpm-core/src -name '*.rs' | sort) \
     crates/dpm-sim/src/sim.rs \
     crates/dpm-sim/src/fleet.rs \
     crates/dpm-sim/src/topo.rs \
+    crates/dpm-sim/src/battery.rs \
+    crates/dpm-sim/src/board.rs \
+    crates/dpm-sim/src/processor.rs \
+    crates/dpm-sim/src/events.rs \
+    crates/dpm-sim/src/engine.rs \
+    crates/dpm-sim/src/meter.rs \
+    crates/dpm-sim/src/stats.rs \
     crates/dpm-workloads/src/faults.rs \
     crates/dpm-workloads/src/fleet.rs; do
     hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print NR": "$0}' "$f" |

@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::error::ServeError;
 use crate::metrics::{self, ServerMetrics};
 use crate::protocol::{decode_request, encode_response, QueryKind, Request, Response};
-use crate::session::Session;
+use crate::session::{check_disturbance, Session};
 
 /// Server-wide switches.
 #[derive(Debug, Clone, Copy, Default)]
@@ -213,12 +213,15 @@ impl Server {
                 at_s,
                 disturbance,
             } => match self.session(session) {
-                Ok(cell) => {
-                    relock(&cell).disturb(*at_s, *disturbance);
-                    Response::Disturbed {
-                        session: session.clone(),
+                Ok(cell) => match check_disturbance(*at_s, disturbance) {
+                    Ok(()) => {
+                        relock(&cell).disturb(*at_s, *disturbance);
+                        Response::Disturbed {
+                            session: session.clone(),
+                        }
                     }
-                }
+                    Err(e) => Response::error(&e.into()),
+                },
                 Err(e) => Response::error(&e),
             },
             Request::Query { session, what } => match self.session(session) {

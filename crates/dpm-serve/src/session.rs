@@ -17,7 +17,8 @@ use dpm_core::runtime::{DpmController, SafetyConfig, SafetyGovernor};
 use dpm_core::series::PowerSeries;
 use dpm_core::units::{joules, seconds};
 use dpm_sim::prelude::{
-    ActiveRun, Disturbance, Recorder, ScheduleGenerator, SimConfig, Simulation, TraceSource,
+    ActiveRun, Disturbance, Recorder, ScheduleGenerator, SimConfig, SimError, Simulation,
+    TraceSource,
 };
 use dpm_telemetry::TraceLine;
 use dpm_trace::{quantile, AuditConfig, AuditState, Rollup};
@@ -230,6 +231,21 @@ fn build_arm(
     }
 }
 
+/// A client-supplied disturbance must be finite in its time and in every
+/// parameter: a non-finite value would otherwise reach the session's
+/// trace as a number no JSON reader can parse back.
+///
+/// # Errors
+/// [`SimError::InvalidConfig`] naming the first non-finite value.
+pub fn check_disturbance(at_s: f64, disturbance: &Disturbance) -> Result<(), SimError> {
+    if !at_s.is_finite() {
+        return Err(SimError::InvalidConfig(format!(
+            "disturbance time must be finite, got {at_s}"
+        )));
+    }
+    disturbance.validate()
+}
+
 impl Session {
     /// Open a session on the PAMA platform: build the governor arm,
     /// schedule the spec's faults, start the run (which emits the config
@@ -239,10 +255,18 @@ impl Session {
     ///
     /// # Errors
     /// [`ServeError::UnknownScenario`] / [`ServeError::UnknownGovernor`]
-    /// on a bad spec; construction errors from the core and simulator
-    /// layers otherwise.
+    /// on a bad spec; [`SimError::InvalidConfig`] on a non-finite initial
+    /// charge, fault time or fault parameter; construction errors from
+    /// the core and simulator layers otherwise.
     pub fn open(name: &str, spec: &SessionSpec, audit: bool) -> Result<Self, ServeError> {
         let scenario = find_scenario(&spec.scenario)?;
+        if let Some(j) = spec.initial_charge_j.filter(|j| !j.is_finite()) {
+            let msg = format!("initial charge must be finite, got {j}");
+            return Err(SimError::InvalidConfig(msg).into());
+        }
+        for (at_s, disturbance) in &spec.faults {
+            check_disturbance(*at_s, disturbance)?;
+        }
         let platform = Arc::new(Platform::pama());
         let period_slots = scenario.charging.len();
         let total_slots = spec.periods.saturating_mul(period_slots);
@@ -420,7 +444,8 @@ impl Session {
         Ok(())
     }
 
-    /// Queue a disturbance at absolute sim time `at_s`.
+    /// Queue a disturbance at absolute sim time `at_s`. The server checks
+    /// it with [`check_disturbance`] first.
     pub fn disturb(&mut self, at_s: f64, disturbance: Disturbance) {
         if let Some(run) = self.run.as_mut() {
             run.schedule(seconds(at_s), disturbance);

@@ -10,8 +10,9 @@
 //!
 //! [`CommandBus`] models the delivery leg: per-command ring latency plus a
 //! polling alignment (workers only look for commands between
-//! computations). [`crate::board::PamaBoard::apply_with_bus`] composes it
-//! with the chip-level transition latencies.
+//! computations). No run path uses it: the board engine applies commands
+//! at the slot boundary with the chip transition latencies alone, and the
+//! bus shows that delivery adds far less than τ.
 
 use crate::network::RingNetwork;
 use dpm_core::units::{seconds, Hertz, Seconds};

@@ -12,10 +12,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Pure arrival-accumulation kernel shared by [`ScheduleGenerator`] and
-/// the fleet stepper ([`crate::fleet`]): add the expected arrivals for an
-/// interval to the fractional carry and emit the whole events. Keeping
-/// the floor/carry arithmetic in one place keeps the scalar and
-/// struct-of-arrays event streams bit-identical.
+/// the open-loop fleet's arrival tables ([`crate::fleet`]): add the
+/// expected arrivals for an interval to the fractional carry and emit
+/// the whole events. Keeping the floor/carry arithmetic in one place
+/// keeps a governed run's and a fleet's event streams bit-identical.
 #[inline]
 pub fn accumulate_arrivals(expected: f64, carry: &mut f64) -> usize {
     let total = expected + *carry;

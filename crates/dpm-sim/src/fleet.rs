@@ -1,44 +1,39 @@
-//! Struct-of-arrays fleet core: the population-scale face of the
-//! simulator.
+//! The board engine: the one place in the workspace where battery,
+//! queue and chip state advance.
 //!
-//! One [`crate::sim::Simulation`] owns one board behind several layers of
-//! boxed traits — fine for studying a governor, hopeless for the
-//! ROADMAP's "thousands-to-millions of boards per run". [`FleetState`]
-//! flattens the per-board state (battery charge, allocation index,
-//! arrival carry, degradation level, fault flags) into contiguous
-//! `f64`/`u32` slices and advances *all* boards one τ slot at a time with
-//! [`FleetState::step_slot`], so the hot loop is a cache-friendly sweep
-//! over arrays instead of a pointer chase per board.
+//! [`FleetState`] keeps every board's state in contiguous slices, and its
+//! slot body advances one board by one τ slot: apply the slot's operating
+//! point, then per sub-step the due disturbances, supply, arrivals,
+//! demand and brown-out, and computation. The arithmetic is the pure
+//! kernels' ([`crate::battery::kernel`], [`crate::board::kernel`],
+//! [`crate::processor::chip_power`], [`crate::events::accumulate_arrivals`]).
 //!
-//! The arithmetic is **not** re-implemented here: every step calls the
-//! pure kernels extracted from the scalar models
-//! ([`crate::battery::kernel`], [`crate::board::kernel`],
-//! [`crate::processor::chip_power`], [`crate::events::accumulate_arrivals`]),
-//! so a 1-board fleet is bit-identical to `Simulation::run` with a pinned
-//! governor on the same inputs — a property the equivalence proptest in
-//! `dpm-workloads` enforces. The scope is correspondingly the scalar
-//! simulator's *open-loop* regime:
+//! One body, two input sources:
 //!
-//! * boards follow a fixed [`FleetConfig::allocation`] table cycled per
-//!   slot (a single entry behaves exactly like a pinned governor), with
-//!   an optional hysteretic [`ShedGuard`] degrading the worker count —
-//!   there is no per-board closed-loop governor;
-//! * the battery is the paper's ideal model (unit efficiency, no
-//!   self-discharge, no Peukert rate dependence), matching what
-//!   `Simulation::new` builds;
-//! * work is inelastic (no background-science soak) and job latency is
-//!   not tracked (only completion/drop counts);
-//! * sensor disturbances are accepted and ignored — with no governor in
-//!   the loop a lying gauge changes nothing, exactly as in a pinned
-//!   scalar run.
+//! * **The open-loop fleet** ([`FleetState::new`]) feeds each board from
+//!   precomputed tables: a fixed [`FleetConfig::allocation`] cycled per
+//!   slot (one entry behaves exactly like a pinned governor) behind an
+//!   optional [`ShedGuard`], the shared charging table, per-phase arrival
+//!   tables, and each board's fault schedule. Jobs are counts, the battery
+//!   is the paper's ideal model, work is inelastic, and gauge and element
+//!   faults change nothing: no governor reads a gauge, no topology exists.
+//! * **A governed run** ([`crate::sim::ActiveRun`]) is a one-board
+//!   `FleetState<Timed>` fed by its governor, charging source, event
+//!   generator and disturbance queue. It keeps arrival times for job
+//!   latency, and may run elastic work, a non-ideal battery and a power
+//!   topology whose rails the engine obeys.
+//!
+//! The equivalence proptest in `dpm-workloads` pins the two sources to
+//! the bit under a pinned governor.
 
-use crate::battery::kernel as battery_kernel;
-use crate::board::kernel as board_kernel;
+use crate::battery::{kernel as battery_kernel, BatteryConfig};
+use crate::board::{kernel as board_kernel, Counts, JobStore, LatencyStats, Timed};
 use crate::error::SimError;
 use crate::events::accumulate_arrivals;
 use crate::processor::{chip_power, Mode, TransitionLatency};
 use crate::sim::Disturbance;
 use crate::source::{ChargingSource, TraceSource};
+use crate::topo::Rails;
 use dpm_core::model::ModePower;
 use dpm_core::params::OperatingPoint;
 use dpm_core::platform::Platform;
@@ -58,16 +53,15 @@ const FLOOR_TOL: f64 = 1e-9;
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoardSpec {
     /// Initial battery charge (clamped into the platform window, exactly
-    /// as [`crate::battery::Battery::new`] does).
+    /// as a governed run seeds its battery).
     pub initial_charge: Joules,
     /// Event-rate phase offset in whole slots: this board sees the rate
     /// schedule rotated so its slot `s` carries the base schedule's slot
     /// `s + phase_slots` (mod the schedule length). Phase 0 is
-    /// bit-identical to the scalar generator.
+    /// bit-identical to a [`crate::events::ScheduleGenerator`].
     pub phase_slots: usize,
-    /// Time-sorted fault schedule for this board (ties keep list order,
-    /// matching the scalar disturbance queue's insertion-order
-    /// tie-break).
+    /// Fault schedule for this board; fired in time order, ties in list
+    /// order (the governed run's disturbance-queue tie-break).
     pub faults: Vec<(Seconds, Disturbance)>,
 }
 
@@ -229,38 +223,148 @@ impl FleetReport {
     }
 }
 
-/// The struct-of-arrays fleet stepper. Build with [`FleetState::new`],
-/// advance with [`FleetState::step_slot`] (or drain with
-/// [`FleetState::run`]), harvest with [`FleetState::into_report`].
-pub struct FleetState {
-    // ---- shared, immutable over the run --------------------------------
-    platform: Arc<Platform>,
+/// Sub-step inputs of one board's slot: base supply, arrivals, due
+/// disturbances, and the hook for the disturbances that leave the physics
+/// alone (gauge and power-element faults). The slot body is generic over
+/// the feed, so the fleet's hot loop makes no indirect call.
+pub(crate) trait SlotFeed {
+    /// Energy the source offers board `b` over global sub-step `g`, which
+    /// spans `[t, t + dt)`, before disturbance scaling (J).
+    fn supply_j(&mut self, b: usize, g: usize, t: f64, dt: f64) -> f64;
+    /// Events arriving at board `b` over global sub-step `g`.
+    fn arrivals(&mut self, b: usize, g: usize, t: f64, dt: f64) -> usize;
+    /// Pop board `b`'s next disturbance if it is due strictly before
+    /// `bound`, in time order (ties in scheduling order).
+    fn next_due(&mut self, b: usize, bound: f64) -> Option<(f64, Disturbance)>;
+    /// A sensor or power-element disturbance fired at `at`. Returns the
+    /// rail state to impose when it changed the board's rails.
+    fn edge(&mut self, b: usize, at: f64, d: Disturbance) -> Option<Rails>;
+}
+
+/// Energy flows and completions of one board over one slot.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct SlotFlows {
+    /// Energy delivered to the board (J).
+    pub(crate) used: f64,
+    /// Energy the source offered after disturbance scaling (J).
+    pub(crate) supplied: f64,
+    /// Jobs completed.
+    pub(crate) jobs: u64,
+}
+
+/// One board's closing books, read by the governed run's report.
+pub(crate) struct BoardTotals {
+    pub(crate) level: f64,
+    pub(crate) offered: f64,
+    pub(crate) wasted: f64,
+    pub(crate) undersupplied: f64,
+    pub(crate) delivered: f64,
+    pub(crate) rate_loss: f64,
+    pub(crate) compute_energy: f64,
+    pub(crate) jobs_done: u64,
+    pub(crate) dropped: u64,
+}
+
+/// The open-loop fleet's inputs and slot-boundary decisions. Empty on a
+/// governed run, whose inputs come from its own feed.
+#[derive(Default)]
+struct Table {
     allocation: Vec<OperatingPoint>,
     guard: Option<ShedGuard>,
-    latency: TransitionLatency,
-    modes: ModePower,
-    chips: usize,
-    total_slots: usize,
-    substeps: usize,
-    tau: f64,
-    dt: f64,
-    c_min: f64,
-    p_idle: f64,
-    max_backlog: u32,
-    trace_enabled: bool,
     /// Offered energy per global sub-step (`mean_power · dt`, J), shared
     /// by every board: the charging schedule is unphased.
     supply_j: Vec<f64>,
     /// Expected arrivals per global sub-step, one table per distinct
     /// phase offset in use.
     expected: Vec<Vec<f64>>,
+    table_of: Vec<u32>,
+    carry: Vec<f64>,
     /// Flattened per-board fault schedules (`offsets[b]..offsets[b+1]`).
     fault_at: Vec<f64>,
     fault_what: Vec<Disturbance>,
     offsets: Vec<usize>,
+    cursor: Vec<usize>,
+    alloc_index: Vec<u32>,
+    degradation: Vec<u32>,
+    sheds: Vec<u32>,
+}
+
+impl Table {
+    /// Slot-boundary decision for board `b` at charge `charge`: the
+    /// guard, then the next allocation-table entry.
+    fn decide(&mut self, b: usize, charge: f64) -> OperatingPoint {
+        if let Some(g) = self.guard {
+            if charge < g.shed_below.value() && self.degradation[b] < g.max_degradation {
+                self.degradation[b] += 1;
+                self.sheds[b] += 1;
+            } else if charge > g.recover_above.value() && self.degradation[b] > 0 {
+                self.degradation[b] -= 1;
+            }
+        }
+        let base = self.allocation[self.alloc_index[b] as usize % self.allocation.len()];
+        self.alloc_index[b] = self.alloc_index[b].wrapping_add(1);
+        if self.degradation[b] == 0 {
+            base
+        } else {
+            OperatingPoint::new(
+                base.workers.saturating_sub(self.degradation[b] as usize),
+                base.frequency,
+                base.voltage,
+            )
+        }
+    }
+}
+
+impl SlotFeed for Table {
+    fn supply_j(&mut self, _b: usize, g: usize, _t: f64, _dt: f64) -> f64 {
+        self.supply_j[g]
+    }
+
+    fn arrivals(&mut self, b: usize, g: usize, _t: f64, _dt: f64) -> usize {
+        let expected = self.expected[self.table_of[b] as usize][g];
+        accumulate_arrivals(expected, &mut self.carry[b])
+    }
+
+    fn next_due(&mut self, b: usize, bound: f64) -> Option<(f64, Disturbance)> {
+        let c = self.cursor[b];
+        if c < self.offsets[b + 1] && self.fault_at[c] < bound {
+            self.cursor[b] = c + 1;
+            Some((self.fault_at[c], self.fault_what[c]))
+        } else {
+            None
+        }
+    }
+
+    fn edge(&mut self, _b: usize, _at: f64, _d: Disturbance) -> Option<Rails> {
+        None
+    }
+}
+
+/// The board engine. Build a fleet with [`FleetState::new`], advance it
+/// with [`FleetState::step_slot`] (or drain it with [`FleetState::run`])
+/// and harvest it with [`FleetState::into_report`]. The type parameter
+/// picks how queued jobs are kept: [`Counts`] for the fleet, [`Timed`]
+/// (with latency) for a governed run.
+pub struct FleetState<J = Counts> {
+    // ---- shared, immutable over the run --------------------------------
+    platform: Arc<Platform>,
+    latency: TransitionLatency,
+    modes: ModePower,
+    chips: usize,
+    /// Worker chips (controller excluded), one bit per chip.
+    worker_mask: u32,
+    total_slots: usize,
+    substeps: usize,
+    tau: f64,
+    dt: f64,
+    cell: BatteryConfig,
+    c_min: f64,
+    p_idle: f64,
+    max_backlog: usize,
+    trace_enabled: bool,
+    table: Table,
 
     // ---- struct-of-arrays per-board state ------------------------------
-    table_of: Vec<u32>,
     charge: Vec<f64>,
     c_max: Vec<f64>,
     min_battery: Vec<f64>,
@@ -268,22 +372,24 @@ pub struct FleetState {
     wasted: Vec<f64>,
     offered: Vec<f64>,
     delivered: Vec<f64>,
-    carry: Vec<f64>,
+    rate_loss: Vec<f64>,
+    /// Energy delivered while workers computed (J).
+    compute_energy: Vec<f64>,
     progress: Vec<f64>,
-    backlog: Vec<u32>,
+    jobs: J,
     supply_scale: Vec<f64>,
     scale_until: Vec<f64>,
     dropout_until: Vec<f64>,
-    alloc_index: Vec<u32>,
-    degradation: Vec<u32>,
-    sheds: Vec<u32>,
     jobs_done: Vec<u64>,
     dropped: Vec<u64>,
-    cursor: Vec<usize>,
     /// Active-mode bits, one per chip (bit `c` of board `b`'s word).
     chip_active: Vec<u32>,
     /// Fail-stop fault bits, same layout.
     chip_faulted: Vec<u32>,
+    /// Supply-rail bits imposed by a power topology (all set without one).
+    chip_powered: Vec<u32>,
+    /// Chips that draw their commanded power but serve nothing.
+    chip_impaired: Vec<u32>,
     /// Per-chip clock setting, `boards × chips`, Hz.
     chip_freq: Vec<f64>,
     /// Operating point applied at the last slot boundary.
@@ -292,10 +398,10 @@ pub struct FleetState {
     p_on: Vec<f64>,
     /// Cached service rate of the applied point (jobs/s).
     rate: Vec<f64>,
-    /// Chip or fault state changed since the last full apply: the next
-    /// slot boundary must re-run the activation sweep even if the
-    /// commanded point is unchanged (a recovery can reshuffle which
-    /// chips run, with wake latency — exactly as the scalar board does).
+    /// Chip state changed since the last full apply: the next slot
+    /// boundary must re-run the activation sweep even if the commanded
+    /// point is unchanged (a recovery or a restored rail can reshuffle
+    /// which chips run, with wake latency).
     apply_dirty: Vec<bool>,
 
     // ---- run position ---------------------------------------------------
@@ -303,6 +409,29 @@ pub struct FleetState {
     trace_battery: Vec<f64>,
     trace_undersupplied: Vec<f64>,
     trace_jobs: Vec<u64>,
+}
+
+/// `periods`, `slots_per_period` and `substeps` must all be at least 1.
+fn check_horizon(periods: usize, slots_per_period: usize, substeps: usize) -> Result<(), SimError> {
+    if periods < 1 || slots_per_period < 1 || substeps < 1 {
+        return Err(SimError::InvalidConfig(format!(
+            "periods, slots_per_period and substeps must all be >= 1, \
+             got {periods} / {slots_per_period} / {substeps}"
+        )));
+    }
+    Ok(())
+}
+
+/// A valid platform whose chips fit the engine's `u32` chip words.
+fn check_platform(platform: &Platform) -> Result<(), SimError> {
+    platform.validate()?;
+    let chips = platform.processors;
+    if chips > 32 {
+        return Err(SimError::InvalidConfig(format!(
+            "the board engine supports at most 32 chips per board, platform has {chips}"
+        )));
+    }
+    Ok(())
 }
 
 impl FleetState {
@@ -314,36 +443,24 @@ impl FleetState {
     /// (the fault/active words are `u32`); [`SimError::Core`] on an
     /// invalid platform or rate schedule.
     pub fn new(config: FleetConfig, specs: &[BoardSpec]) -> Result<Self, SimError> {
-        if config.periods < 1 || config.slots_per_period < 1 || config.substeps < 1 {
-            return Err(SimError::InvalidConfig(format!(
-                "periods, slots_per_period and substeps must all be >= 1, \
-                 got {} / {} / {}",
-                config.periods, config.slots_per_period, config.substeps
-            )));
-        }
+        check_horizon(config.periods, config.slots_per_period, config.substeps)?;
         if config.allocation.is_empty() {
             return Err(SimError::InvalidConfig(
                 "fleet allocation table must have at least one operating point".into(),
             ));
         }
-        config.platform.validate()?;
-        let chips = config.platform.processors;
-        if chips > 32 {
-            return Err(SimError::InvalidConfig(format!(
-                "fleet supports at most 32 chips per board, platform has {chips}"
-            )));
-        }
+        check_platform(&config.platform)?;
 
         let platform = config.platform;
         let tau = platform.tau.value();
         let total_slots = config.periods * config.slots_per_period;
         let substeps = config.substeps;
-        // Same expression as the scalar run loop: τ / substeps.
+        // Same expression as the slot body: τ / substeps.
         let dt = tau / substeps as f64;
         let boards = specs.len();
 
         // Shared supply table: `mean_power(t, dt) · dt` at the exact `t`
-        // values the scalar sub-step loop visits.
+        // values the slot body visits.
         let source = TraceSource::new(config.charging);
         let mut supply_j = Vec::with_capacity(total_slots * substeps);
         for slot in 0..total_slots {
@@ -380,7 +497,7 @@ impl FleetState {
         }
 
         // Flatten the fault schedules; a stable time sort reproduces the
-        // scalar disturbance queue's order (time, then insertion).
+        // governed run's disturbance queue order (time, then insertion).
         let mut fault_at = Vec::new();
         let mut fault_what = Vec::new();
         let mut offsets = Vec::with_capacity(boards + 1);
@@ -395,84 +512,26 @@ impl FleetState {
             offsets.push(fault_at.len());
         }
 
-        let limits = platform.battery;
-        let c_min = limits.c_min.value();
-        let charge: Vec<f64> = specs
-            .iter()
-            .map(|s| limits.clamp(s.initial_charge).value())
-            .collect();
-        let f_min = platform.f_min().value();
-
-        Ok(Self {
+        let table = Table {
             allocation: config.allocation,
             guard: config.guard,
-            latency: TransitionLatency::pama(),
-            modes: platform.power.modes,
-            chips,
-            total_slots,
-            substeps,
-            tau,
-            dt,
-            c_min,
-            p_idle: platform.power.all_standby().value(),
-            max_backlog: 256,
-            trace_enabled: config.trace,
             supply_j,
             expected,
+            table_of,
+            carry: vec![0.0; boards],
             fault_at,
             fault_what,
             offsets,
-            table_of,
-            min_battery: charge.clone(),
-            c_max: vec![limits.c_max.value(); boards],
-            undersupplied: vec![0.0; boards],
-            wasted: vec![0.0; boards],
-            offered: vec![0.0; boards],
-            delivered: vec![0.0; boards],
-            carry: vec![0.0; boards],
-            progress: vec![0.0; boards],
-            backlog: vec![0; boards],
-            supply_scale: vec![1.0; boards],
-            scale_until: vec![0.0; boards],
-            dropout_until: vec![0.0; boards],
+            cursor: vec![0; boards],
             alloc_index: vec![0; boards],
             degradation: vec![0; boards],
             sheds: vec![0; boards],
-            jobs_done: vec![0; boards],
-            dropped: vec![0; boards],
-            cursor: offsets_cursor(boards),
-            chip_active: vec![0; boards],
-            chip_faulted: vec![0; boards],
-            chip_freq: vec![f_min; boards * chips],
-            current: vec![OperatingPoint::OFF; boards],
-            p_on: vec![0.0; boards],
-            rate: vec![0.0; boards],
-            apply_dirty: vec![true; boards],
-            slot: 0,
-            trace_battery: Vec::new(),
-            trace_undersupplied: Vec::new(),
-            trace_jobs: Vec::new(),
-            charge,
-            platform,
-        })
-    }
-
-    /// Boards in the fleet.
-    #[inline]
-    pub fn boards(&self) -> usize {
-        self.charge.len()
-    }
-
-    /// Slots each board runs for.
-    #[inline]
-    pub fn total_slots(&self) -> usize {
-        self.total_slots
-    }
-
-    /// Slots stepped so far.
-    #[inline]
-    pub fn slots_done(&self) -> usize {
-        self.slot
+        };
+        let cell = BatteryConfig::ideal(platform.battery);
+        let initial: Vec<Joules> = specs.iter().map(|s| s.initial_charge).collect();
+        let mut fleet = Self::assemble(platform, total_slots, substeps, cell, &initial, table);
+        fleet.trace_enabled = config.trace;
+        Ok(fleet)
     }
 
     /// Advance every board by one τ slot. A no-op once the configured
@@ -482,125 +541,19 @@ impl FleetState {
             return;
         }
         let slot = self.slot;
-        let t_slot = slot as f64 * self.tau;
-        let dt = self.dt;
-        let substeps = self.substeps;
-        let boards = self.boards();
-
-        for b in 0..boards {
-            // Slot-boundary decision: guard, then the allocation table.
-            if let Some(g) = self.guard {
-                if self.charge[b] < g.shed_below.value() && self.degradation[b] < g.max_degradation
-                {
-                    self.degradation[b] += 1;
-                    self.sheds[b] += 1;
-                } else if self.charge[b] > g.recover_above.value() && self.degradation[b] > 0 {
-                    self.degradation[b] -= 1;
-                }
-            }
-            let base = self.allocation[self.alloc_index[b] as usize % self.allocation.len()];
-            let point = if self.degradation[b] == 0 {
-                base
-            } else {
-                OperatingPoint::new(
-                    base.workers.saturating_sub(self.degradation[b] as usize),
-                    base.frequency,
-                    base.voltage,
-                )
-            };
-            let transition = self.apply_board(b, point);
-
-            let mut slot_jobs = 0u64;
-            for sub in 0..substeps {
-                let g = slot * substeps + sub;
-                let t = t_slot + sub as f64 * dt;
-
-                // --- disturbances (strictly before t + dt, as the scalar
-                //     queue pops them) --------------------------------------
-                let bound = t + dt;
-                while self.cursor[b] < self.offsets[b + 1] {
-                    let at = self.fault_at[self.cursor[b]];
-                    if !(at < bound) {
-                        break;
-                    }
-                    let d = self.fault_what[self.cursor[b]];
-                    self.cursor[b] += 1;
-                    self.apply_fault(b, at, d);
-                }
-
-                // --- supply ------------------------------------------------
-                let scale = if t < self.dropout_until[b] {
-                    0.0
-                } else if t < self.scale_until[b] {
-                    self.supply_scale[b]
-                } else {
-                    1.0
-                };
-                let offered = (self.supply_j[g] * scale).max(0.0);
-                battery_kernel::charge(
-                    &mut self.charge[b],
-                    &mut self.offered[b],
-                    &mut self.wasted[b],
-                    self.c_max[b],
-                    1.0,
-                    offered,
-                );
-
-                // --- arrivals ----------------------------------------------
-                let expected = self.expected[self.table_of[b] as usize][g];
-                let arrivals = accumulate_arrivals(expected, &mut self.carry[b]);
-                self.enqueue(b, arrivals);
-
-                // --- demand & brown-out ------------------------------------
-                let compute_fraction = if sub == 0 {
-                    (1.0 - transition / dt).clamp(0.0, 1.0)
-                } else {
-                    1.0
-                };
-                let pending =
-                    board_kernel::pending_work(self.backlog[b] as usize, self.progress[b]);
-                let busy_target = board_kernel::work_fraction(self.rate[b], dt, pending, false)
-                    * compute_fraction;
-                let demand = (self.p_on[b] * busy_target + self.p_idle * (1.0 - busy_target)) * dt;
-                let delivered = battery_kernel::draw(
-                    &mut self.charge[b],
-                    &mut self.undersupplied[b],
-                    &mut self.delivered[b],
-                    self.c_min,
-                    demand,
-                );
-                let availability = if demand > 1e-15 {
-                    (delivered / demand).clamp(0.0, 1.0)
-                } else {
-                    1.0
-                };
-
-                // --- computation -------------------------------------------
-                let idle = self.backlog[b] == 0 && self.progress[b] == 0.0;
-                if !(self.current[b].is_off() || idle || self.rate[b] <= 0.0) {
-                    let capacity = self.rate[b] * dt * (availability * compute_fraction);
-                    let (completed, _remaining) = board_kernel::drain_queue(
-                        capacity,
-                        &mut self.progress[b],
-                        self.backlog[b] as usize,
-                        |_| {},
-                    );
-                    self.backlog[b] -= completed as u32;
-                    self.jobs_done[b] += completed;
-                    slot_jobs += completed;
-                }
-                // The ideal battery has no self-discharge: the scalar
-                // `battery.tick(dt)` is a no-op and is elided here.
-            }
-
-            self.min_battery[b] = self.min_battery[b].min(self.charge[b]);
-            self.alloc_index[b] = self.alloc_index[b].wrapping_add(1);
+        // The table is both the decision source and the feed; lift it out
+        // so the slot body can borrow the board state alongside it.
+        let mut table = std::mem::take(&mut self.table);
+        for b in 0..self.boards() {
+            let point = table.decide(b, self.charge[b]);
+            let flows = self.step_board(b, slot, point, false, &mut table);
             if self.trace_enabled {
                 self.trace_battery.push(self.charge[b]);
                 self.trace_undersupplied.push(self.undersupplied[b]);
-                self.trace_jobs.push(slot_jobs);
+                self.trace_jobs.push(flows.jobs);
             }
         }
+        self.table = table;
         self.slot += 1;
     }
 
@@ -644,36 +597,407 @@ impl FleetState {
             delivered: self.delivered,
             jobs_done: self.jobs_done,
             dropped: self.dropped,
-            sheds: self.sheds,
+            sheds: self.table.sheds,
             survived,
             trace,
         }
     }
+}
 
-    /// The scalar [`crate::board::PamaBoard::apply`] activation sweep on
-    /// the packed chip state. Returns the worst-case transition latency
-    /// in seconds. Skipped entirely (latency 0) when the point is
-    /// unchanged and no fault event has touched the board since the last
-    /// sweep — in that case every per-chip command would be a no-op.
-    fn apply_board(&mut self, b: usize, point: OperatingPoint) -> f64 {
+impl FleetState<Timed> {
+    /// One board for a governed run, checked as [`FleetState::new`]
+    /// checks a fleet, on a validated battery `cell`. Nothing is sized by
+    /// the horizon: the run's inputs arrive through its own feed.
+    pub(crate) fn single(
+        platform: Arc<Platform>,
+        periods: usize,
+        slots_per_period: usize,
+        substeps: usize,
+        cell: BatteryConfig,
+        initial: Joules,
+    ) -> Result<Self, SimError> {
+        check_horizon(periods, slots_per_period, substeps)?;
+        check_platform(&platform)?;
+        cell.validate()?;
+        let total_slots = periods.saturating_mul(slots_per_period);
+        Ok(Self::assemble(
+            platform,
+            total_slots,
+            substeps,
+            cell,
+            &[initial],
+            Table::default(),
+        ))
+    }
+
+    /// Latency statistics of board `b`'s completed jobs.
+    pub(crate) fn latency(&self, b: usize) -> LatencyStats {
+        self.jobs.latency[b]
+    }
+}
+
+impl<J> FleetState<J> {
+    /// Boards in the fleet.
+    #[inline]
+    pub fn boards(&self) -> usize {
+        self.charge.len()
+    }
+
+    /// Slots each board runs for.
+    #[inline]
+    pub fn total_slots(&self) -> usize {
+        self.total_slots
+    }
+
+    /// Slots stepped so far.
+    #[inline]
+    pub fn slots_done(&self) -> usize {
+        self.slot
+    }
+}
+
+impl<J: JobStore> FleetState<J> {
+    /// `initial.len()` boards, charges clamped into the cell's window,
+    /// every chip in standby at the lowest clock.
+    fn assemble(
+        platform: Arc<Platform>,
+        total_slots: usize,
+        substeps: usize,
+        cell: BatteryConfig,
+        initial: &[Joules],
+        table: Table,
+    ) -> Self {
+        let boards = initial.len();
+        let chips = platform.processors;
+        let tau = platform.tau.value();
+        let charge: Vec<f64> = initial
+            .iter()
+            .map(|&e| cell.limits.clamp(e).value())
+            .collect();
+        let f_min = platform.f_min().value();
+        Self {
+            latency: TransitionLatency::pama(),
+            modes: platform.power.modes,
+            chips,
+            worker_mask: mask(chips) & !mask(platform.reserved.min(chips)),
+            total_slots,
+            substeps,
+            tau,
+            dt: tau / substeps as f64,
+            c_min: cell.limits.c_min.value(),
+            cell,
+            p_idle: platform.power.all_standby().value(),
+            max_backlog: 256,
+            trace_enabled: false,
+            table,
+            min_battery: charge.clone(),
+            c_max: vec![cell.limits.c_max.value(); boards],
+            undersupplied: vec![0.0; boards],
+            wasted: vec![0.0; boards],
+            offered: vec![0.0; boards],
+            delivered: vec![0.0; boards],
+            rate_loss: vec![0.0; boards],
+            compute_energy: vec![0.0; boards],
+            progress: vec![0.0; boards],
+            jobs: J::for_boards(boards),
+            supply_scale: vec![1.0; boards],
+            scale_until: vec![0.0; boards],
+            dropout_until: vec![0.0; boards],
+            jobs_done: vec![0; boards],
+            dropped: vec![0; boards],
+            chip_active: vec![0; boards],
+            chip_faulted: vec![0; boards],
+            chip_powered: vec![Rails::NOMINAL.powered; boards],
+            chip_impaired: vec![Rails::NOMINAL.impaired; boards],
+            chip_freq: vec![f_min; boards * chips],
+            current: vec![OperatingPoint::OFF; boards],
+            p_on: vec![0.0; boards],
+            rate: vec![0.0; boards],
+            apply_dirty: vec![true; boards],
+            slot: 0,
+            trace_battery: Vec::new(),
+            trace_undersupplied: Vec::new(),
+            trace_jobs: Vec::new(),
+            charge,
+            platform,
+        }
+    }
+
+    /// The slot body — the one place battery, queue and chip state
+    /// advance. Board `b` runs `point` (with `elastic` background work
+    /// soaking surplus capacity) through slot `slot`'s sub-steps, each in
+    /// this order: due disturbances, supply, arrivals, demand and
+    /// brown-out, computation, self-discharge.
+    pub(crate) fn step_board<F: SlotFeed>(
+        &mut self,
+        b: usize,
+        slot: usize,
+        point: OperatingPoint,
+        elastic: bool,
+        feed: &mut F,
+    ) -> SlotFlows {
+        let t_slot = slot as f64 * self.tau;
+        let dt = self.dt;
+        let transition = self.apply(b, point);
+        let mut flows = SlotFlows::default();
+        for sub in 0..self.substeps {
+            let g = slot.wrapping_mul(self.substeps).wrapping_add(sub);
+            let t = t_slot + sub as f64 * dt;
+
+            // --- disturbances due strictly before t + dt -----------------
+            let bound = t + dt;
+            while let Some((at, d)) = feed.next_due(b, bound) {
+                self.disturb(b, at, d, feed);
+            }
+
+            // --- supply ------------------------------------------------
+            let scale = if t < self.dropout_until[b] {
+                // A charging dropout overrides any concurrent scaling.
+                0.0
+            } else if t < self.scale_until[b] {
+                self.supply_scale[b]
+            } else {
+                1.0
+            };
+            // A glitched source model (negative/NaN power) must not
+            // corrupt the accounting: offer nothing instead.
+            let offered = (feed.supply_j(b, g, t, dt) * scale).max(0.0);
+            self.charge(b, offered);
+            flows.supplied += offered;
+
+            // --- arrivals ----------------------------------------------
+            let arrivals = feed.arrivals(b, g, t, dt);
+            self.enqueue(b, arrivals, t);
+
+            // --- demand & brown-out ------------------------------------
+            // Race-to-idle: chips drop to standby the moment the queue
+            // empties (the paper's static baseline is "turned off while
+            // there is no input data"), so demand is active power for the
+            // busy share of the sub-step and the standby floor for the
+            // rest. The first sub-step also loses the transition latency.
+            let compute_fraction = if sub == 0 {
+                (1.0 - transition / dt).clamp(0.0, 1.0)
+            } else {
+                1.0
+            };
+            let pending = board_kernel::pending_work(self.jobs.backlog(b), self.progress[b]);
+            let busy_target =
+                board_kernel::work_fraction(self.rate[b], dt, pending, elastic) * compute_fraction;
+            let demand = (self.p_on[b] * busy_target + self.p_idle * (1.0 - busy_target)) * dt;
+            let delivered = self.draw(b, demand);
+            let availability = if demand > 1e-15 {
+                (delivered / demand).clamp(0.0, 1.0)
+            } else {
+                1.0
+            };
+            flows.used += delivered;
+
+            // --- computation -------------------------------------------
+            // `busy` is the share of the sub-step actually spent computing
+            // (work-, transition- and energy-limited), so the energy that
+            // served computation is p_on·busy·dt.
+            let (done, busy) = self.serve(b, t, dt, availability * compute_fraction, elastic);
+            flows.jobs += done;
+            self.compute_energy[b] += (self.p_on[b] * busy * dt).min(delivered);
+
+            battery_kernel::tick(&mut self.charge[b], self.cell.self_discharge_per_s, dt);
+        }
+        self.min_battery[b] = self.min_battery[b].min(self.charge[b]);
+        flows
+    }
+
+    /// Offer `energy` to board `b`'s battery; returns what it stored.
+    pub(crate) fn charge(&mut self, b: usize, energy: f64) -> f64 {
+        battery_kernel::charge(
+            &mut self.charge[b],
+            &mut self.offered[b],
+            &mut self.wasted[b],
+            self.c_max[b],
+            self.cell.charge_efficiency,
+            energy,
+        )
+    }
+
+    /// Derate board `b`'s capacity window by `factor` (see
+    /// [`battery_kernel::fade`]).
+    pub(crate) fn fade(&mut self, b: usize, factor: f64) {
+        battery_kernel::fade(
+            &mut self.charge[b],
+            &mut self.wasted[b],
+            &mut self.c_max[b],
+            self.c_min,
+            factor,
+        );
+    }
+
+    /// Demand `energy` over one sub-step from board `b`'s battery:
+    /// rate-aware when the cell has a Peukert model, the paper's ideal
+    /// draw otherwise. Returns the energy delivered.
+    pub(crate) fn draw(&mut self, b: usize, energy: f64) -> f64 {
+        match self.cell.peukert {
+            None => battery_kernel::draw(
+                &mut self.charge[b],
+                &mut self.undersupplied[b],
+                &mut self.delivered[b],
+                self.c_min,
+                energy,
+            ),
+            Some(model) => {
+                let (delivered, consumed) = battery_kernel::draw_over(
+                    &mut self.charge[b],
+                    &mut self.undersupplied[b],
+                    &mut self.delivered[b],
+                    self.c_min,
+                    &model,
+                    energy,
+                    self.dt,
+                );
+                self.rate_loss[b] += consumed - delivered;
+                delivered
+            }
+        }
+    }
+
+    /// Process board `b`'s queue over `[t, t + dt)` at the applied point,
+    /// with `availability ∈ [0, 1]` scaling progress for brown-outs and
+    /// transition dead time. With `elastic` work, capacity left over after
+    /// the queue performs background science, so the board is busy
+    /// throughout. Returns `(jobs_completed, busy_fraction)`.
+    pub(crate) fn serve(
+        &mut self,
+        b: usize,
+        t: f64,
+        dt: f64,
+        availability: f64,
+        elastic: bool,
+    ) -> (u64, f64) {
+        let idle = self.jobs.backlog(b) == 0 && self.progress[b] == 0.0 && !elastic;
+        let rate = self.rate[b];
+        if self.current[b].is_off() || idle || rate <= 0.0 {
+            return (0, 0.0);
+        }
+        let capacity = rate * dt * availability;
+        let jobs = &mut self.jobs;
+        let (completed, mut remaining) = board_kernel::drain_queue(
+            capacity,
+            &mut self.progress[b],
+            jobs.backlog(b),
+            // Completion time: interpolated within the sub-step.
+            |consumed| jobs.complete(b, || t + consumed / capacity * dt),
+        );
+        self.jobs_done[b] += completed;
+        if elastic && remaining > 0.0 {
+            remaining = 0.0;
+        }
+        (
+            completed,
+            board_kernel::busy_fraction(capacity, remaining, rate, dt),
+        )
+    }
+
+    /// Queue `n` events arriving at board `b` at `at`. The backlog cap
+    /// admits what fits and counts the rest as dropped, in one step
+    /// whatever `n` is.
+    pub(crate) fn enqueue(&mut self, b: usize, n: usize, at: f64) {
+        let admit = n.min(self.max_backlog.saturating_sub(self.jobs.backlog(b)));
+        self.jobs.push(b, admit, at);
+        self.dropped[b] = self.dropped[b].saturating_add((n - admit) as u64);
+    }
+
+    /// Apply one disturbance to board `b`: physics here, sensor and
+    /// element faults through the feed's hook.
+    fn disturb<F: SlotFeed>(&mut self, b: usize, at: f64, d: Disturbance, feed: &mut F) {
+        match d {
+            Disturbance::SupplyScale { factor, duration } => {
+                self.supply_scale[b] = factor.max(0.0);
+                self.scale_until[b] = at + duration.value();
+            }
+            Disturbance::EventBurst { count } => self.enqueue(b, count, at),
+            Disturbance::ChargingDropout { duration } => {
+                self.dropout_until[b] = self.dropout_until[b].max(at + duration.value());
+            }
+            Disturbance::ProcessorFault { index } => self.set_chip_fault(b, index, true),
+            Disturbance::ProcessorRecover { index } => self.set_chip_fault(b, index, false),
+            Disturbance::BatteryFade { factor } => self.fade(b, factor),
+            Disturbance::SensorNoise { .. }
+            | Disturbance::SensorStuck { .. }
+            | Disturbance::ElementFault { .. }
+            | Disturbance::ElementRecover { .. } => {
+                if let Some(rails) = feed.edge(b, at, d) {
+                    self.set_rails(b, rails);
+                }
+            }
+        }
+    }
+
+    /// Inject or clear a fail-stop fault on chip `index` of board `b`. A
+    /// faulted chip is clock-gated to standby and ignores commands; a
+    /// recovered one rejoins in standby, counts as serviceable at once,
+    /// and wakes at the next slot boundary. Out-of-range indices are
+    /// ignored: a generated fault plan must not crash the board model.
+    pub(crate) fn set_chip_fault(&mut self, b: usize, index: usize, faulted: bool) {
+        if index >= self.chips || (self.chip_faulted[b] >> index & 1 == 1) == faulted {
+            return;
+        }
+        if faulted {
+            self.chip_faulted[b] |= 1 << index;
+            self.chip_active[b] &= !(1 << index);
+        } else {
+            self.chip_faulted[b] &= !(1 << index);
+        }
+        self.apply_dirty[b] = true;
+        self.refresh_caches(b);
+    }
+
+    /// Impose a topology's rail state on board `b`, live: an unpowered
+    /// chip drops to standby at once (its floor stands in for rail
+    /// leakage) and is skipped at the next activation until its rail
+    /// returns; an impaired chip keeps drawing but serves nothing.
+    pub(crate) fn set_rails(&mut self, b: usize, rails: Rails) {
+        if rails.powered == self.chip_powered[b] && rails.impaired == self.chip_impaired[b] {
+            return;
+        }
+        self.chip_powered[b] = rails.powered;
+        self.chip_impaired[b] = rails.impaired;
+        self.chip_active[b] &= rails.powered;
+        self.apply_dirty[b] = true;
+        self.refresh_caches(b);
+    }
+
+    /// Apply a slot-boundary command to board `b`. Returns the worst-case
+    /// transition latency across the chips in seconds (the parallel stage
+    /// cannot start before every participant is up).
+    ///
+    /// The controller always runs when the board is on; the commanded
+    /// worker count activates the first `workers` unblocked (healthy and
+    /// powered) worker chips, so a board with spare capacity routes
+    /// around a failed PIM. A frequency change costs the FPGA relock
+    /// ([`TransitionLatency::frequency_change`]), a wake from standby the
+    /// wake time; dropping to standby is immediate. Skipped entirely
+    /// (latency 0) when the point is unchanged and no chip state changed
+    /// since the last sweep — every per-chip command would be a no-op.
+    pub(crate) fn apply(&mut self, b: usize, point: OperatingPoint) -> f64 {
         if point == self.current[b] && !self.apply_dirty[b] {
             return 0.0;
         }
         let workers = point.workers.min(self.platform.workers());
+        let blocked = self.chip_faulted[b] | !self.chip_powered[b];
         let mut activated = 0usize;
         let mut worst = 0.0f64;
         for c in 0..self.chips {
             let is_controller = c < self.platform.reserved;
-            let faulted = self.chip_faulted[b] >> c & 1 == 1;
-            let should_run =
-                board_kernel::chip_should_run(&point, faulted, is_controller, activated, workers);
+            let should_run = board_kernel::chip_should_run(
+                &point,
+                blocked >> c & 1 == 1,
+                is_controller,
+                activated,
+                workers,
+            );
             let idx = b * self.chips + c;
             if should_run {
                 if !is_controller {
                     activated += 1;
                 }
-                // `Processor::set_frequency` then `set_mode(Active)`,
-                // with the same no-op guards.
                 if point.frequency.value() > 0.0
                     && (point.frequency.value() - self.chip_freq[idx]).abs() >= 1e-6
                 {
@@ -684,9 +1008,9 @@ impl FleetState {
                     worst = worst.max(self.latency.wake.value());
                     self.chip_active[b] |= 1 << c;
                 }
-            } else if !faulted {
-                // `set_mode(Standby)`: free, and a no-op on faulted chips
-                // (they are already pinned at standby).
+            } else {
+                // Clock-gate to standby (faulted and unpowered chips are
+                // already there).
                 self.chip_active[b] &= !(1 << c);
             }
         }
@@ -696,10 +1020,9 @@ impl FleetState {
         worst
     }
 
-    /// Recompute the cached board power and service rate. The scalar
-    /// simulator recomputes both every sub-step; they only actually
-    /// change at an apply or a processor fault/recovery, which is when
-    /// this is called.
+    /// Recompute the cached board power and service rate. Both only
+    /// change at an apply, a chip fault or recovery, or a rail change,
+    /// which is when this is called.
     fn refresh_caches(&mut self, b: usize) {
         let cal = self.platform.f_max();
         let mut p = 0.0;
@@ -718,73 +1041,67 @@ impl FleetState {
             .value();
         }
         self.p_on[b] = p;
-        let healthy = self.healthy_workers(b);
-        self.rate[b] = board_kernel::service_rate(&self.platform, &self.current[b], healthy);
+        let serving = self.service_workers(b);
+        self.rate[b] = board_kernel::service_rate(&self.platform, &self.current[b], serving);
     }
 
-    /// Worker chips (controller excluded) currently healthy.
-    fn healthy_workers(&self, b: usize) -> usize {
-        let reserved = self.platform.reserved.min(self.chips);
-        let worker_bits = (self.chip_faulted[b] >> reserved) & mask(self.chips - reserved);
-        (self.chips - reserved) - worker_bits.count_ones() as usize
-    }
-
-    /// `PamaBoard::enqueue` on the counting backlog.
-    fn enqueue(&mut self, b: usize, n: usize) {
-        for _ in 0..n {
-            if self.backlog[b] >= self.max_backlog {
-                self.dropped[b] += 1;
-            } else {
-                self.backlog[b] += 1;
-            }
+    /// Worker chips that would serve jobs at board `b`'s applied point
+    /// right now: the first `workers` unblocked (healthy and powered)
+    /// worker chips, minus any that are impaired. With no topology this
+    /// is `min(commanded, healthy)`.
+    pub(crate) fn service_workers(&self, b: usize) -> usize {
+        let point = self.current[b];
+        if point.is_off() {
+            return 0;
         }
+        let mut free = self.worker_mask & !self.chip_faulted[b] & self.chip_powered[b];
+        let mut serving = 0usize;
+        for _ in 0..point.workers.min(self.platform.workers()) {
+            if free == 0 {
+                break;
+            }
+            let lowest = free & free.wrapping_neg();
+            if lowest & self.chip_impaired[b] == 0 {
+                serving += 1;
+            }
+            free &= !lowest;
+        }
+        serving
     }
 
-    /// `Simulation::apply_disturbances`'s match arm on the packed state.
-    fn apply_fault(&mut self, b: usize, at: f64, d: Disturbance) {
-        match d {
-            Disturbance::SupplyScale { factor, duration } => {
-                self.supply_scale[b] = factor.max(0.0);
-                self.scale_until[b] = at + duration.value();
-            }
-            Disturbance::EventBurst { count } => self.enqueue(b, count),
-            Disturbance::ChargingDropout { duration } => {
-                self.dropout_until[b] = self.dropout_until[b].max(at + duration.value());
-            }
-            Disturbance::ProcessorFault { index } => {
-                if index < self.chips && self.chip_faulted[b] >> index & 1 == 0 {
-                    self.chip_faulted[b] |= 1 << index;
-                    // The watchdog clock-gates the chip to standby.
-                    self.chip_active[b] &= !(1 << index);
-                    self.apply_dirty[b] = true;
-                    self.refresh_caches(b);
-                }
-            }
-            Disturbance::ProcessorRecover { index } => {
-                if index < self.chips && self.chip_faulted[b] >> index & 1 == 1 {
-                    self.chip_faulted[b] &= !(1 << index);
-                    // The chip rejoins in standby but already counts as
-                    // healthy for the service rate, as in the scalar model.
-                    self.apply_dirty[b] = true;
-                    self.refresh_caches(b);
-                }
-            }
-            Disturbance::BatteryFade { factor } => {
-                battery_kernel::fade(
-                    &mut self.charge[b],
-                    &mut self.wasted[b],
-                    &mut self.c_max[b],
-                    self.c_min,
-                    factor,
-                );
-            }
-            // Sensor faults corrupt only governor observations; a fleet
-            // board is open-loop, so they change nothing — the same
-            // physics-untouched outcome a pinned scalar run has.
-            Disturbance::SensorNoise { .. } | Disturbance::SensorStuck { .. } => {}
-            // Fleet boards carry no power-element topology (the same
-            // no-op a scalar run without `with_topology` performs).
-            Disturbance::ElementFault { .. } | Disturbance::ElementRecover { .. } => {}
+    /// Board `b`'s true battery level (J).
+    pub(crate) fn level(&self, b: usize) -> f64 {
+        self.charge[b]
+    }
+
+    /// Board `b`'s current usable window `(C_min, C_max)` (J).
+    pub(crate) fn window(&self, b: usize) -> (f64, f64) {
+        (self.c_min, self.c_max[b])
+    }
+
+    /// Jobs queued on board `b`.
+    pub(crate) fn backlog(&self, b: usize) -> usize {
+        self.jobs.backlog(b)
+    }
+
+    /// Whether the cell's accounting closes exactly (see
+    /// [`BatteryConfig::conserves_energy`]).
+    pub(crate) fn conserves_energy(&self) -> bool {
+        self.cell.conserves_energy()
+    }
+
+    /// Board `b`'s closing books.
+    pub(crate) fn totals(&self, b: usize) -> BoardTotals {
+        BoardTotals {
+            level: self.charge[b],
+            offered: self.offered[b],
+            wasted: self.wasted[b],
+            undersupplied: self.undersupplied[b],
+            delivered: self.delivered[b],
+            rate_loss: self.rate_loss[b],
+            compute_energy: self.compute_energy[b],
+            jobs_done: self.jobs_done[b],
+            dropped: self.dropped[b],
         }
     }
 }
@@ -799,10 +1116,6 @@ fn mask(n: usize) -> u32 {
     }
 }
 
-fn offsets_cursor(boards: usize) -> Vec<usize> {
-    vec![0; boards]
-}
-
 /// The rate schedule as seen by a board with a `phase` slot offset: slot
 /// `i` of the result carries slot `i + phase` of the base schedule.
 fn rotate_series(series: &PowerSeries, phase: usize) -> Result<PowerSeries, SimError> {
@@ -815,8 +1128,8 @@ fn rotate_series(series: &PowerSeries, phase: usize) -> Result<PowerSeries, SimE
     Ok(PowerSeries::new(series.slot_width(), rotated)?)
 }
 
-/// Expected arrivals per global sub-step — exactly the integral the
-/// scalar [`crate::events::ScheduleGenerator`] evaluates at the same `t`.
+/// Expected arrivals per global sub-step — exactly the integral a
+/// [`crate::events::ScheduleGenerator`] evaluates at the same `t`.
 fn expected_arrivals(
     rates: &PowerSeries,
     total_slots: usize,
@@ -838,10 +1151,41 @@ fn expected_arrivals(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::events::{EventGenerator, ScheduleGenerator};
     use dpm_core::units::{joules, volts};
+
+    /// Chip-level views for the board, processor and battery tests.
+    impl<J: JobStore> FleetState<J> {
+        /// Board `b`'s active-mode chip bits.
+        pub(crate) fn chip_active(&self, b: usize) -> u32 {
+            self.chip_active[b]
+        }
+
+        /// Chip `c`'s clock setting on board `b` (Hz).
+        pub(crate) fn chip_freq(&self, b: usize, c: usize) -> f64 {
+            self.chip_freq[b * self.chips + c]
+        }
+
+        /// Board `b`'s power with its active set running (W).
+        pub(crate) fn power(&self, b: usize) -> f64 {
+            self.p_on[b]
+        }
+
+        /// Board `b`'s service rate at the applied point (jobs/s).
+        pub(crate) fn service_rate(&self, b: usize) -> f64 {
+            self.rate[b]
+        }
+    }
+
+    /// A one-board PAMA engine (8 sub-steps, ideal battery) for unit
+    /// tests of the slot body's parts.
+    pub(crate) fn one_board(initial: f64) -> FleetState<Timed> {
+        let platform = Arc::new(Platform::pama());
+        let cell = BatteryConfig::ideal(platform.battery);
+        FleetState::single(platform, 2, 12, 8, cell, joules(initial)).unwrap()
+    }
 
     fn charging() -> PowerSeries {
         PowerSeries::new(
@@ -946,8 +1290,8 @@ mod tests {
     #[test]
     fn rotated_rates_match_the_scalar_generator_on_the_rotated_series() {
         // The phase table must agree with a ScheduleGenerator driven by
-        // the rotated series — the proptest then pins phase 0 to the
-        // scalar simulation as a whole.
+        // the rotated series — the proptest then pins phase 0 to a
+        // governed run as a whole.
         let rotated = rotate_series(&rates(), 5).unwrap();
         let mut gen = ScheduleGenerator::new(rotated.clone());
         let table = expected_arrivals(&rotated, 4, 8, 4.8, 0.6);

@@ -3,9 +3,15 @@
 //! A from-scratch simulator of the paper's evaluation platform: the PAMA
 //! board (eight M32R/D PIMs behind two FPGAs on a unidirectional ring), a
 //! rechargeable battery with a capacity window, periodic/solar charging
-//! sources, RF-event arrival processes, a power-measurement board, and the
+//! sources, RF-event arrival processes, a battery gauge, and the
 //! slot-stepped feedback loop that lets any [`dpm_core::governor::Governor`]
 //! drive it all.
+//!
+//! One engine steps every board: [`fleet::FleetState`]'s slot body,
+//! built on the pure kernels in [`battery`], [`board`], [`processor`] and
+//! [`events`]. The open-loop fleet feeds it from precomputed tables; a
+//! governed [`sim::Simulation`] is a one-board engine fed by its governor,
+//! charging source, event generator and disturbance queue.
 //!
 //! ```
 //! use dpm_core::prelude::*;
@@ -61,8 +67,7 @@ pub mod topo;
 
 /// One-stop imports.
 pub mod prelude {
-    pub use crate::battery::{Battery, BatteryConfig, PeukertModel};
-    pub use crate::board::PamaBoard;
+    pub use crate::battery::{BatteryConfig, PeukertModel};
     pub use crate::commands::{Command, CommandBus, InFlight};
     pub use crate::engine::{Clock, EventQueue};
     pub use crate::error::SimError;
@@ -70,9 +75,9 @@ pub mod prelude {
     pub use crate::fleet::{
         BoardSpec, FleetConfig, FleetReport, FleetState, FleetTrace, ShedGuard,
     };
-    pub use crate::meter::{ChargeSensor, PowerMeter};
+    pub use crate::meter::ChargeSensor;
     pub use crate::network::{RingConfig, RingNetwork};
-    pub use crate::processor::{Mode, Processor, TransitionLatency};
+    pub use crate::processor::{Mode, TransitionLatency};
     pub use crate::sim::{ActiveRun, Disturbance, SimConfig, Simulation};
     pub use crate::source::{ChargingSource, NoisySource, SolarOrbitSource, TraceSource};
     pub use crate::stats::{BrokerStats, SimReport, SlotRecord, SurvivalReport};

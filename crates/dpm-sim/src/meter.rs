@@ -1,7 +1,7 @@
-//! The power-measurement board: sampled power and per-interval energy
-//! accounting ("A power measurement board is used to measure real-time
-//! power consumption", §5). The controller's Algorithm 3 feedback loop
-//! reads its per-slot energies.
+//! The power-measurement board ("A power measurement board is used to
+//! measure real-time power consumption", §5). Its per-slot energies reach
+//! the controller's Algorithm 3 feedback loop as the governed run's
+//! `used_last`/`supplied_last` observations.
 //!
 //! The same board carries the battery gauge, modelled here as
 //! [`ChargeSensor`]: the charge value a governor *observes* each slot,
@@ -9,78 +9,8 @@
 //! [`crate::sim::Disturbance::SensorStuck`]) can corrupt while the
 //! physical battery keeps its true level.
 
-use dpm_core::units::{joules, watts, Joules, Seconds, Watts};
+use dpm_core::units::{joules, Joules, Seconds};
 use serde::{Deserialize, Serialize};
-
-/// One sample in the meter's trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MeterSample {
-    /// Sample time (s).
-    pub time: f64,
-    /// Measured power (W).
-    pub power: f64,
-}
-
-/// Accumulating energy meter with an optional sampled trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PowerMeter {
-    total: f64,
-    interval: f64,
-    trace: Vec<MeterSample>,
-    keep_trace: bool,
-}
-
-impl PowerMeter {
-    /// A meter that only accumulates energies.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A meter that also records every sample.
-    pub fn with_trace() -> Self {
-        Self {
-            keep_trace: true,
-            ..Self::default()
-        }
-    }
-
-    /// Record `power` drawn over `[t, t + dt)`.
-    pub fn record(&mut self, t: Seconds, dt: Seconds, power: Watts) {
-        assert!(dt.value() >= 0.0 && power.value() >= 0.0);
-        let e = power.value() * dt.value();
-        self.total += e;
-        self.interval += e;
-        if self.keep_trace {
-            self.trace.push(MeterSample {
-                time: t.value(),
-                power: power.value(),
-            });
-        }
-    }
-
-    /// Energy since the last [`Self::lap`], and reset the interval counter
-    /// — the controller calls this once per `τ`.
-    pub fn lap(&mut self) -> Joules {
-        let e = self.interval;
-        self.interval = 0.0;
-        joules(e)
-    }
-
-    /// Total energy ever recorded.
-    pub fn total(&self) -> Joules {
-        joules(self.total)
-    }
-
-    /// The sampled trace (empty unless built with [`Self::with_trace`]).
-    pub fn trace(&self) -> &[MeterSample] {
-        &self.trace
-    }
-
-    /// Mean power over the full recording, given its duration.
-    pub fn mean_power(&self, duration: Seconds) -> Watts {
-        watts(self.total / duration.value().max(1e-12))
-    }
-}
 
 /// The battery gauge: maps the battery's true charge to the value the
 /// governor observes. Fault-free it is the identity; a
@@ -163,45 +93,6 @@ impl ChargeSensor {
 mod tests {
     use super::*;
     use dpm_core::units::seconds;
-
-    #[test]
-    fn accumulates_energy() {
-        let mut m = PowerMeter::new();
-        m.record(seconds(0.0), seconds(2.0), watts(3.0));
-        m.record(seconds(2.0), seconds(1.0), watts(1.0));
-        assert!(m.total().approx_eq(joules(7.0), 1e-12));
-    }
-
-    #[test]
-    fn lap_resets_interval_only() {
-        let mut m = PowerMeter::new();
-        m.record(seconds(0.0), seconds(1.0), watts(2.0));
-        assert_eq!(m.lap(), joules(2.0));
-        assert_eq!(m.lap(), Joules::ZERO);
-        m.record(seconds(1.0), seconds(1.0), watts(4.0));
-        assert_eq!(m.lap(), joules(4.0));
-        assert_eq!(m.total(), joules(6.0));
-    }
-
-    #[test]
-    fn trace_is_optional() {
-        let mut plain = PowerMeter::new();
-        plain.record(seconds(0.0), seconds(1.0), watts(1.0));
-        assert!(plain.trace().is_empty());
-
-        let mut tracing = PowerMeter::with_trace();
-        tracing.record(seconds(0.0), seconds(1.0), watts(1.0));
-        tracing.record(seconds(1.0), seconds(1.0), watts(2.0));
-        assert_eq!(tracing.trace().len(), 2);
-        assert_eq!(tracing.trace()[1].power, 2.0);
-    }
-
-    #[test]
-    fn mean_power_over_duration() {
-        let mut m = PowerMeter::new();
-        m.record(seconds(0.0), seconds(4.0), watts(2.0));
-        assert!((m.mean_power(seconds(8.0)).value() - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn healthy_sensor_is_identity() {

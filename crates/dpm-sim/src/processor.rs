@@ -1,5 +1,8 @@
 //! The M32R/D PIM processor model: power modes, frequency switching, and
-//! the FPGA-assisted wake sequence of §5.
+//! the FPGA-assisted wake sequence of §5. The board engine
+//! ([`crate::fleet::FleetState`]) keeps each chip's mode and clock in
+//! packed form and prices them with [`chip_power`] and
+//! [`TransitionLatency`].
 //!
 //! Modes (datasheet numbers the paper quotes):
 //! * **Active** — full circuit, 546 mW typical at 80 MHz/3.3 V.
@@ -17,11 +20,9 @@ use dpm_core::model::ModePower;
 use dpm_core::units::{seconds, Hertz, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 
-/// Pure chip-power kernel shared by [`Processor::power`] and the fleet
-/// stepper ([`crate::fleet`]): instantaneous draw of one chip in `mode`
-/// at `frequency`, with active power scaled linearly against the
-/// calibration frequency. Keeping the arithmetic here is what makes the
-/// scalar board and the struct-of-arrays power sum bit-identical.
+/// Pure chip-power kernel: instantaneous draw of one chip in `mode` at
+/// `frequency`, with active power scaled linearly against the
+/// calibration frequency.
 #[inline]
 pub fn chip_power(
     mode: Mode,
@@ -70,200 +71,69 @@ impl TransitionLatency {
     }
 
     /// Time for a frequency change to `new_f`: FPGA write + standby dwell
-    /// of `freq_change_cycles` at the new clock + wake.
+    /// of `freq_change_cycles` at the new clock + wake. Callers guard
+    /// `new_f > 0`: a stopped clock is standby, not a frequency.
     pub fn frequency_change(&self, new_f: Hertz) -> Seconds {
-        assert!(new_f.value() > 0.0);
+        debug_assert!(new_f.value() > 0.0, "use standby to stop the clock");
         seconds(self.freq_change_cycles as f64 / new_f.value()) + self.wake
-    }
-}
-
-/// One PIM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Processor {
-    /// Index on the board (0 is the controller by convention).
-    pub id: usize,
-    mode: Mode,
-    frequency: Hertz,
-    mode_power: ModePower,
-    latency: TransitionLatency,
-    /// Simulated time until which the chip is unavailable because a
-    /// transition is in flight.
-    busy_until: Seconds,
-    /// Fail-stop fault flag: a faulted chip sits at its standby floor and
-    /// ignores mode/frequency commands until it recovers.
-    faulted: bool,
-    /// Count of mode transitions performed (for overhead ablations).
-    transitions: u64,
-    /// Count of frequency changes performed.
-    freq_changes: u64,
-}
-
-impl Processor {
-    /// A chip in standby at the given initial frequency setting.
-    pub fn new(
-        id: usize,
-        frequency: Hertz,
-        mode_power: ModePower,
-        latency: TransitionLatency,
-    ) -> Self {
-        Self {
-            id,
-            mode: Mode::Standby,
-            frequency,
-            mode_power,
-            latency,
-            busy_until: Seconds::ZERO,
-            faulted: false,
-            transitions: 0,
-            freq_changes: 0,
-        }
-    }
-
-    /// Current mode.
-    #[inline]
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    /// Current clock frequency setting.
-    #[inline]
-    pub fn frequency(&self) -> Hertz {
-        self.frequency
-    }
-
-    /// Transitions performed so far.
-    #[inline]
-    pub fn transition_count(&self) -> u64 {
-        self.transitions
-    }
-
-    /// Frequency changes performed so far.
-    #[inline]
-    pub fn freq_change_count(&self) -> u64 {
-        self.freq_changes
-    }
-
-    /// Is the chip free to compute at time `t` (no transition in flight,
-    /// not faulted)?
-    pub fn available_at(&self, t: Seconds) -> bool {
-        !self.faulted && t.value() >= self.busy_until.value()
-    }
-
-    /// Whether the chip is currently failed-stop.
-    #[inline]
-    pub fn is_faulted(&self) -> bool {
-        self.faulted
-    }
-
-    /// Inject or clear a fail-stop fault at time `t`. Faulting forces an
-    /// immediate drop to standby (the watchdog clock-gates the chip);
-    /// recovery leaves the chip in standby — the next governor command
-    /// wakes it through the ordinary FPGA sequence, so recovery latency is
-    /// visible at the next slot boundary, not instantaneous.
-    pub fn set_fault(&mut self, faulted: bool, t: Seconds) {
-        if faulted == self.faulted {
-            return;
-        }
-        self.faulted = faulted;
-        if faulted {
-            if self.mode != Mode::Standby {
-                self.mode = Mode::Standby;
-                self.transitions += 1;
-            }
-        } else {
-            // A recovered chip is ready for commands from `t` onward.
-            self.busy_until = self.busy_until.max(t);
-        }
-    }
-
-    /// Instantaneous power draw in the current mode (uses the full Eq. 4
-    /// frequency scaling for active mode via the supplied `active_power`
-    /// closure when querying the board; here the chip reports its
-    /// datasheet mode power scaled linearly with frequency for Active).
-    pub fn power(&self, calibration_f: Hertz) -> Watts {
-        chip_power(self.mode, self.frequency, &self.mode_power, calibration_f)
-    }
-
-    /// Command: change mode at time `t`. Returns the latency incurred.
-    /// A faulted chip ignores the command (it is pinned at standby).
-    pub fn set_mode(&mut self, mode: Mode, t: Seconds) -> Seconds {
-        if self.faulted || mode == self.mode {
-            return Seconds::ZERO;
-        }
-        let latency = match (self.mode, mode) {
-            (Mode::Standby, Mode::Active) | (Mode::Sleep, Mode::Active) => self.latency.wake,
-            // Dropping to a low-power state is immediate (clock gate).
-            _ => Seconds::ZERO,
-        };
-        self.mode = mode;
-        self.transitions += 1;
-        self.busy_until = seconds(t.value().max(self.busy_until.value()) + latency.value());
-        latency
-    }
-
-    /// Command: change frequency at time `t` (the FPGA write sequence).
-    /// The chip passes through standby and wakes at the new clock. A
-    /// faulted chip ignores the command.
-    pub fn set_frequency(&mut self, f: Hertz, t: Seconds) -> Seconds {
-        if self.faulted || (f.value() - self.frequency.value()).abs() < 1e-6 {
-            return Seconds::ZERO;
-        }
-        assert!(f.value() > 0.0, "use set_mode(Standby) to stop the clock");
-        let latency = self.latency.frequency_change(f);
-        self.frequency = f;
-        self.freq_changes += 1;
-        self.busy_until = seconds(t.value().max(self.busy_until.value()) + latency.value());
-        latency
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::tests::one_board;
+    use dpm_core::params::OperatingPoint;
+    use dpm_core::units::volts;
 
-    fn chip() -> Processor {
-        Processor::new(
-            1,
-            Hertz::from_mhz(20.0),
-            ModePower::M32RD,
-            TransitionLatency::pama(),
-        )
+    /// One chip's draw, calibrated at 80 MHz.
+    fn power(mode: Mode, mhz: f64) -> f64 {
+        let (f, cal) = (Hertz::from_mhz(mhz), Hertz::from_mhz(80.0));
+        chip_power(mode, f, &ModePower::M32RD, cal).value()
+    }
+
+    fn point(workers: usize, mhz: f64) -> OperatingPoint {
+        OperatingPoint::new(workers, Hertz::from_mhz(mhz), volts(3.3))
+    }
+
+    fn wake() -> f64 {
+        TransitionLatency::pama().wake.value()
+    }
+
+    fn relock(mhz: f64) -> f64 {
+        TransitionLatency::pama()
+            .frequency_change(Hertz::from_mhz(mhz))
+            .value()
     }
 
     #[test]
     fn starts_in_standby() {
-        let p = chip();
-        assert_eq!(p.mode(), Mode::Standby);
-        assert!((p.power(Hertz::from_mhz(80.0)).value() - 0.0066).abs() < 1e-12);
+        let bench = one_board(8.0);
+        assert_eq!(bench.chip_active(0), 0, "every chip starts in standby");
+        assert!((power(Mode::Standby, 20.0) - 0.0066).abs() < 1e-12);
+        assert!((bench.chip_freq(0, 3) - 20e6).abs() < 1e-6);
     }
 
     #[test]
     fn active_power_scales_with_frequency() {
-        let mut p = chip();
-        p.set_mode(Mode::Active, Seconds::ZERO);
-        let p20 = p.power(Hertz::from_mhz(80.0));
-        assert!((p20.value() - 0.546 / 4.0).abs() < 1e-9);
-        p.set_frequency(Hertz::from_mhz(80.0), Seconds::ZERO);
-        let p80 = p.power(Hertz::from_mhz(80.0));
-        assert!((p80.value() - 0.546).abs() < 1e-9);
+        assert!((power(Mode::Active, 20.0) - 0.546 / 4.0).abs() < 1e-9);
+        assert!((power(Mode::Active, 80.0) - 0.546).abs() < 1e-9);
     }
 
     #[test]
     fn sleep_power_matches_datasheet() {
-        let mut p = chip();
-        p.set_mode(Mode::Sleep, Seconds::ZERO);
-        assert!((p.power(Hertz::from_mhz(80.0)).value() - 0.393).abs() < 1e-12);
+        assert!((power(Mode::Sleep, 80.0) - 0.393).abs() < 1e-12);
     }
 
     #[test]
     fn wake_has_latency_but_gating_does_not() {
-        let mut p = chip();
-        let up = p.set_mode(Mode::Active, seconds(1.0));
-        assert!(up.value() > 0.0);
-        assert!(!p.available_at(seconds(1.0)));
-        assert!(p.available_at(seconds(1.0 + 0.001)));
-        let down = p.set_mode(Mode::Standby, seconds(2.0));
-        assert_eq!(down, Seconds::ZERO);
+        let mut board = one_board(8.0);
+        // Waking at the chips' current clock costs the wake alone.
+        assert_eq!(board.apply(0, point(7, 20.0)), wake());
+        assert_eq!(board.chip_active(0), 0xff);
+        // Clock-gating back to standby is immediate.
+        assert_eq!(board.apply(0, OperatingPoint::OFF), 0.0);
+        assert_eq!(board.chip_active(0), 0);
     }
 
     #[test]
@@ -277,56 +147,47 @@ mod tests {
 
     #[test]
     fn same_state_commands_are_free() {
-        let mut p = chip();
-        assert_eq!(p.set_mode(Mode::Standby, Seconds::ZERO), Seconds::ZERO);
-        assert_eq!(
-            p.set_frequency(Hertz::from_mhz(20.0), Seconds::ZERO),
-            Seconds::ZERO
-        );
-        assert_eq!(p.transition_count(), 0);
-        assert_eq!(p.freq_change_count(), 0);
+        let mut board = one_board(8.0);
+        assert_eq!(board.apply(0, OperatingPoint::OFF), 0.0);
+        board.apply(0, point(3, 40.0));
+        assert_eq!(board.apply(0, point(3, 40.0)), 0.0);
     }
 
     #[test]
     fn fault_forces_standby_and_blocks_commands() {
-        let mut p = chip();
-        p.set_mode(Mode::Active, Seconds::ZERO);
-        p.set_fault(true, seconds(1.0));
-        assert!(p.is_faulted());
-        assert_eq!(p.mode(), Mode::Standby);
-        assert!(!p.available_at(seconds(100.0)));
-        // Commands bounce off a faulted chip with no latency and no state
-        // change.
-        assert_eq!(p.set_mode(Mode::Active, seconds(2.0)), Seconds::ZERO);
-        assert_eq!(
-            p.set_frequency(Hertz::from_mhz(80.0), seconds(2.0)),
-            Seconds::ZERO
-        );
-        assert_eq!(p.mode(), Mode::Standby);
-        assert_eq!(p.frequency(), Hertz::from_mhz(20.0));
+        let mut board = one_board(8.0);
+        board.apply(0, point(7, 20.0));
+        board.set_chip_fault(0, 3, true);
+        assert_eq!(board.chip_active(0) >> 3 & 1, 0, "the watchdog gates it");
+        // Commands pass a faulted chip by: no wake, no clock change.
+        board.apply(0, point(7, 80.0));
+        assert_eq!(board.chip_active(0) >> 3 & 1, 0);
+        assert!((board.chip_freq(0, 3) - 20e6).abs() < 1e-6);
+        assert!((board.chip_freq(0, 4) - 80e6).abs() < 1e-6);
     }
 
     #[test]
     fn recovery_leaves_standby_until_commanded() {
-        let mut p = chip();
-        p.set_fault(true, seconds(1.0));
-        p.set_fault(false, seconds(5.0));
-        assert!(!p.is_faulted());
-        assert_eq!(p.mode(), Mode::Standby);
-        assert!(p.available_at(seconds(5.0)));
-        let lat = p.set_mode(Mode::Active, seconds(6.0));
-        assert!(lat.value() > 0.0, "wake goes through the normal sequence");
-        assert_eq!(p.mode(), Mode::Active);
+        let mut board = one_board(8.0);
+        board.apply(0, point(7, 20.0));
+        board.set_chip_fault(0, 3, true);
+        board.set_chip_fault(0, 3, false);
+        assert_eq!(board.chip_active(0) >> 3 & 1, 0, "recovery wakes nothing");
+        // The next command wakes it through the normal sequence, even at
+        // an unchanged point.
+        assert_eq!(board.apply(0, point(7, 20.0)), wake());
+        assert_eq!(board.chip_active(0) >> 3 & 1, 1);
     }
 
     #[test]
     fn counters_track_commands() {
-        let mut p = chip();
-        p.set_mode(Mode::Active, Seconds::ZERO);
-        p.set_frequency(Hertz::from_mhz(40.0), Seconds::ZERO);
-        p.set_frequency(Hertz::from_mhz(80.0), Seconds::ZERO);
-        p.set_mode(Mode::Standby, Seconds::ZERO);
-        assert_eq!(p.transition_count(), 2);
-        assert_eq!(p.freq_change_count(), 2);
+        // Each command costs exactly what it changes: a wake, a relock,
+        // both (the slower wins), or nothing.
+        let mut board = one_board(8.0);
+        assert_eq!(board.apply(0, point(7, 20.0)), wake());
+        assert_eq!(board.apply(0, point(7, 40.0)), relock(40.0));
+        assert_eq!(board.apply(0, point(7, 40.0)), 0.0);
+        assert_eq!(board.apply(0, OperatingPoint::OFF), 0.0);
+        assert_eq!(board.apply(0, point(7, 80.0)), relock(80.0).max(wake()));
     }
 }

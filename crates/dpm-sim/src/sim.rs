@@ -1,12 +1,16 @@
-//! The top-level simulation: environment + battery + board + governor,
-//! advanced slot by slot with fluid-flow job processing inside each slot
-//! and punctual disturbances from the event queue.
+//! The governed simulation: environment + battery + board + governor,
+//! advanced slot by slot — exactly the §4.3 feedback loop.
 //!
 //! Each `τ` the governor is shown what actually happened (energy used,
 //! energy supplied, battery level, backlog) and commands an operating
-//! point — exactly the §4.3 feedback loop. Within the slot the simulator
-//! integrates supply and demand over `substeps` sub-intervals so charging
-//! edges and brown-outs land at the right times.
+//! point. The board itself is a one-board [`crate::fleet::FleetState`]:
+//! the same slot body the open-loop fleet runs, fed here by the live
+//! charging source, event generator and disturbance queue, and
+//! integrating supply and demand over `substeps` sub-intervals so
+//! charging edges and brown-outs land at the right times. Around that
+//! body [`ActiveRun::step`] runs the per-slot adapters: the gauge reading,
+//! the governor's decision, the topology's grant, telemetry and the
+//! [`SlotRecord`].
 //!
 //! ## Fault injection
 //!
@@ -20,19 +24,20 @@
 //! lying gauge mismanages a perfectly healthy pack — exactly the failure
 //! class a `SafetyGovernor` guard band is designed to bound.
 
-use crate::battery::{Battery, BatteryConfig};
-use crate::board::PamaBoard;
+use crate::battery::BatteryConfig;
+use crate::board::Timed;
 use crate::engine::EventQueue;
 use crate::error::SimError;
 use crate::events::EventGenerator;
-use crate::meter::{ChargeSensor, PowerMeter};
+use crate::fleet::{FleetState, SlotFeed};
+use crate::meter::ChargeSensor;
 use crate::source::ChargingSource;
 use crate::stats::{SimReport, SlotRecord};
-use crate::topo::{TopologyMode, TopologyRuntime};
+use crate::topo::{Rails, TopologyMode, TopologyRuntime};
 use dpm_core::governor::{Governor, SlotObservation};
 use dpm_core::params::OperatingPoint;
 use dpm_core::platform::Platform;
-use dpm_core::units::{seconds, Joules, Seconds};
+use dpm_core::units::{joules, seconds, Joules, Seconds};
 use dpm_telemetry::Recorder;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -76,7 +81,7 @@ pub enum Disturbance {
     },
     /// Permanently derate the battery's usable window:
     /// `C_max ← C_min + factor·(C_max − C_min)` (see
-    /// [`Battery::fade`]). Fades compose multiplicatively.
+    /// [`crate::battery::kernel::fade`]). Fades compose multiplicatively.
     BatteryFade {
         /// Remaining fraction of the capacity window, clamped to `[0, 1]`.
         factor: f64,
@@ -113,6 +118,56 @@ pub enum Disturbance {
     },
 }
 
+impl Disturbance {
+    /// Check that every real-valued parameter is finite. A service that
+    /// accepts disturbances from clients calls this at its boundary: a
+    /// non-finite factor or duration would otherwise reach the trace as
+    /// a value no JSON reader can parse back.
+    ///
+    /// # Errors
+    /// [`SimError::InvalidConfig`] naming the first non-finite parameter.
+    pub fn validate(&self) -> Result<(), SimError> {
+        match self.traced().1.into_iter().find(|(_, v)| !v.is_finite()) {
+            Some((name, v)) => Err(SimError::InvalidConfig(format!(
+                "disturbance {name} must be finite, got {v}"
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// The kind and the parameters a `sim.disturbance` event carries.
+    fn traced(&self) -> (&'static str, Vec<(&'static str, f64)>) {
+        match *self {
+            Self::SupplyScale { factor, duration } => (
+                "SupplyScale",
+                vec![("factor", factor), ("duration_s", duration.value())],
+            ),
+            Self::EventBurst { count } => ("EventBurst", vec![("count", count as f64)]),
+            Self::ChargingDropout { duration } => {
+                ("ChargingDropout", vec![("duration_s", duration.value())])
+            }
+            Self::ProcessorFault { index } => ("ProcessorFault", vec![("index", index as f64)]),
+            Self::ProcessorRecover { index } => ("ProcessorRecover", vec![("index", index as f64)]),
+            Self::BatteryFade { factor } => ("BatteryFade", vec![("factor", factor)]),
+            Self::SensorNoise {
+                amplitude,
+                duration,
+                ..
+            } => (
+                "SensorNoise",
+                vec![("amplitude", amplitude), ("duration_s", duration.value())],
+            ),
+            Self::SensorStuck { duration } => {
+                ("SensorStuck", vec![("duration_s", duration.value())])
+            }
+            Self::ElementFault { element } => ("ElementFault", vec![("element", element as f64)]),
+            Self::ElementRecover { element } => {
+                ("ElementRecover", vec![("element", element as f64)])
+            }
+        }
+    }
+}
+
 /// Run configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
@@ -142,15 +197,11 @@ pub struct Simulation {
     platform: Arc<Platform>,
     source: Box<dyn ChargingSource>,
     events: Box<dyn EventGenerator>,
-    battery: Battery,
-    board: PamaBoard,
-    meter: PowerMeter,
+    /// The board: a one-board engine that keeps job arrival times.
+    board: FleetState<Timed>,
     sensor: ChargeSensor,
     disturbances: EventQueue<Disturbance>,
     config: SimConfig,
-    supply_scale: f64,
-    supply_scale_until: Seconds,
-    dropout_until: Seconds,
     /// Power-topology governance (none by default — the classic flat
     /// board with no element structure at all).
     topology: Option<TopologyRuntime>,
@@ -166,9 +217,9 @@ impl Simulation {
     /// Assemble a simulation with an ideal battery at `initial_charge`.
     ///
     /// # Errors
-    /// [`SimError::InvalidConfig`] on a degenerate run configuration,
-    /// [`SimError::Core`] on an invalid platform, and any battery error
-    /// from [`Battery::new`].
+    /// [`SimError::InvalidConfig`] on a degenerate run configuration or a
+    /// platform with more than 32 chips, [`SimError::Core`] on an invalid
+    /// platform.
     pub fn new(
         platform: impl Into<Arc<Platform>>,
         source: Box<dyn ChargingSource>,
@@ -177,31 +228,22 @@ impl Simulation {
         config: SimConfig,
     ) -> Result<Self, SimError> {
         let platform = platform.into();
-        if config.periods < 1 || config.slots_per_period < 1 || config.substeps < 1 {
-            return Err(SimError::InvalidConfig(format!(
-                "periods, slots_per_period and substeps must all be >= 1, \
-                 got {} / {} / {}",
-                config.periods, config.slots_per_period, config.substeps
-            )));
-        }
-        platform.validate()?;
-        let battery = Battery::new(BatteryConfig::ideal(platform.battery), initial_charge)?;
-        // One shared platform serves both the simulation and its board —
-        // no per-board deep clone of the frequency/power menus.
-        let board = PamaBoard::new(Arc::clone(&platform));
+        let board = FleetState::single(
+            Arc::clone(&platform),
+            config.periods,
+            config.slots_per_period,
+            config.substeps,
+            BatteryConfig::ideal(platform.battery),
+            initial_charge,
+        )?;
         Ok(Self {
             platform,
             source,
             events,
-            battery,
             board,
-            meter: PowerMeter::new(),
             sensor: ChargeSensor::new(),
             disturbances: EventQueue::new(),
             config,
-            supply_scale: 1.0,
-            supply_scale_until: Seconds::ZERO,
-            dropout_until: Seconds::ZERO,
             topology: None,
             last_gauge: initial_charge,
             telemetry: Recorder::disabled(),
@@ -237,14 +279,22 @@ impl Simulation {
     /// Use a non-ideal battery.
     ///
     /// # Errors
-    /// Propagates [`Battery::new`] on a misconfigured battery.
+    /// [`SimError::BatteryMisconfigured`] or [`SimError::Core`] when
+    /// [`BatteryConfig::validate`] rejects the cell.
     #[must_use = "builders return a new simulation rather than mutating in place"]
     pub fn with_battery(
         mut self,
         config: BatteryConfig,
         initial: Joules,
     ) -> Result<Self, SimError> {
-        self.battery = Battery::new(config, initial)?;
+        self.board = FleetState::single(
+            Arc::clone(&self.platform),
+            self.config.periods,
+            self.config.slots_per_period,
+            self.config.substeps,
+            config,
+            initial,
+        )?;
         Ok(self)
     }
 
@@ -258,24 +308,21 @@ impl Simulation {
     /// batch [`Simulation::run`] is a thin loop over this, so a stepped
     /// run produces a byte-identical trace and the same report.
     pub fn begin(self) -> ActiveRun {
-        let tau = self.platform.tau;
-        let total_slots = (self.config.periods * self.config.slots_per_period) as u64;
-        let dt = seconds(tau.value() / self.config.substeps as f64);
-        let initial_battery = self.battery.level().value();
+        let initial_battery = self.board.level(0);
         if self.telemetry.is_enabled() {
             // The audit anchors: the capacity window the trajectory must
             // stay inside (fades only ever *shrink* C_max below this), the
             // starting level the energy balance is taken from, and whether
             // this battery's accounting closes exactly (see
-            // `Battery::conserves_energy`).
-            let limits = self.battery.limits();
-            self.telemetry.gauge("sim.c_min_j", limits.c_min.value());
-            self.telemetry.gauge("sim.c_max_j", limits.c_max.value());
+            // `BatteryConfig::conserves_energy`).
+            let (c_min, c_max) = self.board.window(0);
+            self.telemetry.gauge("sim.c_min_j", c_min);
+            self.telemetry.gauge("sim.c_max_j", c_max);
             self.telemetry
                 .gauge("sim.initial_battery_j", initial_battery);
             self.telemetry.gauge(
                 "sim.energy_conserving",
-                if self.battery.conserves_energy() {
+                if self.board.conserves_energy() {
                     1.0
                 } else {
                     0.0
@@ -284,12 +331,9 @@ impl Simulation {
         }
         ActiveRun {
             sim: self,
-            total_slots,
-            dt,
             initial_battery,
             used_last: Joules::ZERO,
             supplied_last: Joules::ZERO,
-            compute_energy: 0.0,
             slots: Vec::new(),
             next_slot: 0,
             started: std::time::Instant::now(),
@@ -307,106 +351,72 @@ impl Simulation {
         while run.step(governor)? {}
         Ok(run.finish(governor.name()))
     }
+}
 
-    /// Trace a disturbance as it fires, stamped with its scheduled time
-    /// and its kind as the event detail.
-    fn emit_disturbance(&self, at: Seconds, d: &Disturbance) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let (kind, fields): (&str, Vec<(&str, f64)>) = match d {
-            Disturbance::SupplyScale { factor, duration } => (
-                "SupplyScale",
-                vec![("factor", *factor), ("duration_s", duration.value())],
-            ),
-            Disturbance::EventBurst { count } => ("EventBurst", vec![("count", *count as f64)]),
-            Disturbance::ChargingDropout { duration } => {
-                ("ChargingDropout", vec![("duration_s", duration.value())])
-            }
-            Disturbance::ProcessorFault { index } => {
-                ("ProcessorFault", vec![("index", *index as f64)])
-            }
-            Disturbance::ProcessorRecover { index } => {
-                ("ProcessorRecover", vec![("index", *index as f64)])
-            }
-            Disturbance::BatteryFade { factor } => ("BatteryFade", vec![("factor", *factor)]),
+/// Trace a disturbance as it fires, stamped with its scheduled time and
+/// its kind as the event detail.
+fn emit_disturbance(telemetry: &Recorder, at: Seconds, d: &Disturbance) {
+    if !telemetry.is_enabled() {
+        return;
+    }
+    let (kind, fields) = d.traced();
+    telemetry.event_with_detail("sim.disturbance", None, at.value(), &fields, kind);
+    telemetry.incr("sim.disturbances", 1);
+}
+
+/// A governed run's sub-step inputs: the live charging source and event
+/// generator, and the disturbance queue, whose gauge and element faults
+/// land on the run's [`ChargeSensor`] and [`TopologyRuntime`]. Every
+/// disturbance is traced as it fires, before it takes effect.
+struct LiveFeed<'a> {
+    source: &'a dyn ChargingSource,
+    events: &'a mut Box<dyn EventGenerator>,
+    disturbances: &'a mut EventQueue<Disturbance>,
+    sensor: &'a mut ChargeSensor,
+    topology: Option<&'a mut TopologyRuntime>,
+    telemetry: &'a Recorder,
+}
+
+impl SlotFeed for LiveFeed<'_> {
+    fn supply_j(&mut self, _b: usize, _g: usize, t: f64, dt: f64) -> f64 {
+        (self.source.mean_power(seconds(t), seconds(dt)) * seconds(dt)).value()
+    }
+
+    fn arrivals(&mut self, _b: usize, _g: usize, t: f64, dt: f64) -> usize {
+        self.events.arrivals(seconds(t), seconds(dt))
+    }
+
+    fn next_due(&mut self, _b: usize, bound: f64) -> Option<(f64, Disturbance)> {
+        let (at, d) = self.disturbances.pop_before(seconds(bound))?;
+        emit_disturbance(self.telemetry, at, &d);
+        Some((at.value(), d))
+    }
+
+    fn edge(&mut self, _b: usize, at: f64, d: Disturbance) -> Option<Rails> {
+        match d {
             Disturbance::SensorNoise {
                 amplitude,
                 duration,
-                ..
-            } => (
-                "SensorNoise",
-                vec![("amplitude", *amplitude), ("duration_s", duration.value())],
-            ),
+                seed,
+            } => self
+                .sensor
+                .inject_noise(amplitude, seconds(at + duration.value()), seed),
             Disturbance::SensorStuck { duration } => {
-                ("SensorStuck", vec![("duration_s", duration.value())])
+                self.sensor.inject_stuck(seconds(at + duration.value()));
             }
             Disturbance::ElementFault { element } => {
-                ("ElementFault", vec![("element", *element as f64)])
+                let topology = self.topology.as_deref_mut()?;
+                topology.fault(element, seconds(at));
+                return Some(topology.rails());
             }
             Disturbance::ElementRecover { element } => {
-                ("ElementRecover", vec![("element", *element as f64)])
-            }
-        };
-        self.telemetry
-            .event_with_detail("sim.disturbance", None, at.value(), &fields, kind);
-        self.telemetry.incr("sim.disturbances", 1);
-    }
-
-    fn apply_disturbances(&mut self, t: Seconds, dt: Seconds) {
-        while let Some((at, d)) = self
-            .disturbances
-            .pop_before(seconds(t.value() + dt.value()))
-        {
-            self.emit_disturbance(at, &d);
-            match d {
-                Disturbance::SupplyScale { factor, duration } => {
-                    self.supply_scale = factor.max(0.0);
-                    self.supply_scale_until = seconds(at.value() + duration.value());
-                }
-                Disturbance::EventBurst { count } => {
-                    self.board.enqueue(count, at);
-                }
-                Disturbance::ChargingDropout { duration } => {
-                    let until = seconds(at.value() + duration.value());
-                    self.dropout_until = self.dropout_until.max(until);
-                }
-                Disturbance::ProcessorFault { index } => {
-                    self.board.set_fault(index, true, at);
-                }
-                Disturbance::ProcessorRecover { index } => {
-                    self.board.set_fault(index, false, at);
-                }
-                Disturbance::BatteryFade { factor } => {
-                    self.battery.fade(factor);
-                }
-                Disturbance::SensorNoise {
-                    amplitude,
-                    duration,
-                    seed,
-                } => {
-                    self.sensor.inject_noise(
-                        amplitude,
-                        seconds(at.value() + duration.value()),
-                        seed,
-                    );
-                }
-                Disturbance::SensorStuck { duration } => {
-                    self.sensor
-                        .inject_stuck(seconds(at.value() + duration.value()));
-                }
-                Disturbance::ElementFault { element } => {
-                    if let Some(tp) = self.topology.as_mut() {
-                        tp.fault(element, at, &mut self.board);
-                    }
-                }
-                Disturbance::ElementRecover { element } => {
-                    if let Some(tp) = self.topology.as_mut() {
-                        tp.recover(element, at);
-                    }
+                if let Some(topology) = self.topology.as_deref_mut() {
+                    topology.recover(element, seconds(at));
                 }
             }
+            _ => {}
         }
+        None
     }
 }
 
@@ -423,12 +433,9 @@ impl Simulation {
 /// batch [`Simulation::run`], which is itself just this loop.
 pub struct ActiveRun {
     sim: Simulation,
-    total_slots: u64,
-    dt: Seconds,
     initial_battery: f64,
     used_last: Joules,
     supplied_last: Joules,
-    compute_energy: f64,
     slots: Vec<SlotRecord>,
     next_slot: u64,
     /// Wall clock at `begin`, closing the `sim.run` profiler span in
@@ -441,50 +448,47 @@ impl ActiveRun {
     /// Advance one τ slot under `governor`. Returns `Ok(false)` once the
     /// configured horizon is exhausted (the call is then a no-op).
     ///
+    /// Around the board engine's slot body run the gauge reading, the
+    /// governor's decision, the topology's grant, telemetry and the
+    /// [`SlotRecord`].
+    ///
     /// # Errors
     /// Propagates the governor's [`dpm_core::error::DpmError`] as
     /// [`SimError::Core`] and topology errors as [`SimError::Broker`].
     pub fn step(&mut self, governor: &mut dyn Governor) -> Result<bool, SimError> {
-        if self.next_slot >= self.total_slots {
+        if self.is_done() {
             return Ok(false);
         }
         let slot = self.next_slot;
-        let tau = self.sim.platform.tau;
-        let dt = self.dt;
-        let elastic = governor.uses_surplus_energy();
-        let t_slot = seconds(slot as f64 * tau.value());
+        let sim = &mut self.sim;
+        let t_slot = seconds(slot as f64 * sim.platform.tau.value());
         // The governor sees the *gauge* reading, not ground truth —
         // sensor faults corrupt the observation while the battery's
         // physical level (and the report metrics) stay honest. A dark
         // gauge power-element chain is worse still: the reading
         // freezes at the last value that got through.
-        let gauge_live = match &self.sim.topology {
-            Some(tp) => tp.gauge_powered(),
-            None => true,
-        };
+        let gauge_live = sim
+            .topology
+            .as_ref()
+            .is_none_or(TopologyRuntime::gauge_powered);
         let reading = if gauge_live {
-            self.sim.sensor.read(t_slot, self.sim.battery.level())
+            sim.sensor.read(t_slot, joules(sim.board.level(0)))
         } else {
-            self.sim.last_gauge
+            sim.last_gauge
         };
-        self.sim.last_gauge = reading;
+        sim.last_gauge = reading;
         let obs = SlotObservation {
             slot,
             time: t_slot,
             battery: reading,
             used_last: self.used_last,
             supplied_last: self.supplied_last,
-            backlog: self.sim.board.backlog(),
+            backlog: sim.board.backlog(0),
         };
         let mut point = governor.decide(&obs)?;
-        if let Some(topo) = self.sim.topology.as_mut() {
-            let granted = topo.begin_slot(
-                slot,
-                t_slot,
-                point.workers,
-                governor.exhausted(),
-                &mut self.sim.board,
-            )?;
+        if let Some(topo) = sim.topology.as_mut() {
+            let granted = topo.begin_slot(slot, t_slot, point.workers, governor.exhausted())?;
+            sim.board.set_rails(0, topo.rails());
             if granted < point.workers {
                 // The topology could not power the full command: run
                 // what was granted (OFF when nothing was).
@@ -495,173 +499,105 @@ impl ActiveRun {
                 };
             }
         }
-        let transition = self.sim.board.apply(point, t_slot);
 
-        let mut slot_used = Joules::ZERO;
-        let mut slot_supplied = Joules::ZERO;
-        let mut slot_jobs = 0u64;
+        let mut feed = LiveFeed {
+            source: sim.source.as_ref(),
+            events: &mut sim.events,
+            disturbances: &mut sim.disturbances,
+            sensor: &mut sim.sensor,
+            topology: sim.topology.as_mut(),
+            telemetry: &sim.telemetry,
+        };
+        let flows = sim.board.step_board(
+            0,
+            slot as usize,
+            point,
+            governor.uses_surplus_energy(),
+            &mut feed,
+        );
 
-        for sub in 0..self.sim.config.substeps {
-            let t = seconds(t_slot.value() + sub as f64 * dt.value());
-            self.sim.apply_disturbances(t, dt);
-
-            // --- supply ------------------------------------------------
-            let scale = if t.value() < self.sim.dropout_until.value() {
-                // A charging dropout overrides any concurrent scaling.
-                0.0
-            } else if t.value() < self.sim.supply_scale_until.value() {
-                self.sim.supply_scale
-            } else {
-                1.0
-            };
-            // A glitched source model (negative/NaN power) must not
-            // corrupt the accounting: offer nothing instead.
-            let offered = (self.sim.source.mean_power(t, dt) * dt * scale).max(Joules::ZERO);
-            self.sim.battery.charge(offered);
-            slot_supplied += offered;
-
-            // --- arrivals ----------------------------------------------
-            let arrivals = self.sim.events.arrivals(t, dt);
-            self.sim.board.enqueue(arrivals, t);
-
-            // --- demand & brown-out ------------------------------------
-            // Race-to-idle: chips drop to standby the moment the queue
-            // empties (the paper's static baseline is "turned off while
-            // there is no input data"; the proposed controller's PIMs
-            // likewise check for work after each computation). Demand
-            // is therefore active power for the busy share of the
-            // sub-step and the standby floor for the rest. The first
-            // sub-step additionally loses the transition latency.
-            let compute_fraction = if sub == 0 {
-                (1.0 - transition.value() / dt.value()).clamp(0.0, 1.0)
-            } else {
-                1.0
-            };
-            let busy_target = self.sim.board.work_fraction(dt, elastic) * compute_fraction;
-            let p_on = self.sim.board.power();
-            let p_idle = self.sim.board.idle_power();
-            let demand = (p_on * busy_target + p_idle * (1.0 - busy_target)) * dt;
-            let delivered = self.sim.battery.draw_over(demand, dt.value());
-            let availability = if demand.value() > 1e-15 {
-                (delivered / demand).clamp(0.0, 1.0)
-            } else {
-                1.0
-            };
-            slot_used += delivered;
-            self.sim.meter.record(t, dt, delivered / dt);
-
-            // --- computation -------------------------------------------
-            // `busy` is the share of the sub-step actually spent
-            // computing (work-, transition- and energy-limited), so the
-            // energy that served computation is p_on·busy·dt.
-            let (done, busy) =
-                self.sim
-                    .board
-                    .advance(t, dt, availability * compute_fraction, elastic);
-            slot_jobs += done;
-            self.compute_energy += (p_on * busy * dt).value().min(delivered.value());
-
-            self.sim.battery.tick(dt.value());
-        }
-
-        self.used_last = slot_used;
-        self.supplied_last = slot_supplied;
-        if self.sim.telemetry.is_enabled() {
-            self.sim.telemetry.event(
+        self.used_last = joules(flows.used);
+        self.supplied_last = joules(flows.supplied);
+        let books = sim.board.totals(0);
+        let (battery, undersupplied) = (books.level, books.undersupplied);
+        let backlog = sim.board.backlog(0);
+        if sim.telemetry.is_enabled() {
+            sim.telemetry.event(
                 "sim.slot",
                 Some(slot),
                 t_slot.value(),
                 &[
-                    ("battery_j", self.sim.battery.level().value()),
-                    ("used_j", slot_used.value()),
-                    ("supplied_j", slot_supplied.value()),
-                    ("undersupplied_j", self.sim.battery.undersupplied().value()),
-                    ("jobs", slot_jobs as f64),
-                    ("backlog", self.sim.board.backlog() as f64),
+                    ("battery_j", battery),
+                    ("used_j", flows.used),
+                    ("supplied_j", flows.supplied),
+                    ("undersupplied_j", undersupplied),
+                    ("jobs", flows.jobs as f64),
+                    ("backlog", backlog as f64),
                 ],
             );
-            self.sim
-                .telemetry
-                .observe("sim.battery_j", self.sim.battery.level().value());
-            self.sim
-                .telemetry
-                .observe("sim.slot.used_j", slot_used.value());
+            sim.telemetry.observe("sim.battery_j", battery);
+            sim.telemetry.observe("sim.slot.used_j", flows.used);
         }
-        if self.sim.config.trace {
+        if sim.config.trace {
             self.slots.push(SlotRecord {
                 slot,
                 time: t_slot.value(),
                 workers: point.workers,
                 freq_mhz: point.frequency.mhz(),
-                used: slot_used.value(),
-                supplied: slot_supplied.value(),
-                battery: self.sim.battery.level().value(),
-                undersupplied: self.sim.battery.undersupplied().value(),
-                jobs: slot_jobs,
-                backlog: self.sim.board.backlog(),
+                used: flows.used,
+                supplied: flows.supplied,
+                battery,
+                undersupplied,
+                jobs: flows.jobs,
+                backlog,
             });
         }
         self.next_slot += 1;
-        Ok(self.next_slot < self.total_slots)
+        Ok(!self.is_done())
     }
 
     /// Close the books: end-of-run counters and gauges into the trace,
     /// and the [`SimReport`] over however many slots actually ran (a
     /// session may close early; the accounting covers what happened).
     pub fn finish(self, governor_name: &str) -> SimReport {
-        let tau = self.sim.platform.tau;
-        let duration = self.next_slot as f64 * tau.value();
-        if self.sim.telemetry.is_enabled() {
+        let sim = &self.sim;
+        let duration = self.next_slot as f64 * sim.platform.tau.value();
+        let books = sim.board.totals(0);
+        if sim.telemetry.is_enabled() {
             // Whole-run profiler span, recorded here rather than as an
             // RAII guard in `Simulation::run` so a stepped session run
             // (`begin`/`step`/`finish`) emits the byte-identical trace
             // line. The wall-clock side lands in the `.profile` only.
             let run_wall = self.started.elapsed().as_secs_f64();
-            self.sim.telemetry.record_span_path("sim.run", run_wall);
-            self.sim.telemetry.incr("sim.slots", self.next_slot);
-            self.sim
-                .telemetry
-                .incr("sim.jobs_done", self.sim.board.jobs_done());
-            self.sim
-                .telemetry
-                .incr("sim.jobs_dropped", self.sim.board.dropped());
-            self.sim
-                .telemetry
-                .gauge("sim.final_battery_j", self.sim.battery.level().value());
-            self.sim
-                .telemetry
-                .gauge("sim.wasted_j", self.sim.battery.wasted().value());
-            self.sim.telemetry.gauge(
-                "sim.undersupplied_j",
-                self.sim.battery.undersupplied().value(),
-            );
-            self.sim
-                .telemetry
-                .gauge("sim.delivered_j", self.sim.battery.delivered().value());
-            self.sim
-                .telemetry
-                .gauge("sim.offered_j", self.sim.battery.offered().value());
-            self.sim
-                .telemetry
-                .gauge("sim.rate_loss_j", self.sim.battery.rate_loss().value());
+            sim.telemetry.record_span_path("sim.run", run_wall);
+            sim.telemetry.incr("sim.slots", self.next_slot);
+            sim.telemetry.incr("sim.jobs_done", books.jobs_done);
+            sim.telemetry.incr("sim.jobs_dropped", books.dropped);
+            sim.telemetry.gauge("sim.final_battery_j", books.level);
+            sim.telemetry.gauge("sim.wasted_j", books.wasted);
+            sim.telemetry
+                .gauge("sim.undersupplied_j", books.undersupplied);
+            sim.telemetry.gauge("sim.delivered_j", books.delivered);
+            sim.telemetry.gauge("sim.offered_j", books.offered);
+            sim.telemetry.gauge("sim.rate_loss_j", books.rate_loss);
         }
-        let latency = self.sim.board.latency();
+        let latency = sim.board.latency(0);
         SimReport {
             governor: governor_name.to_string(),
             duration,
-            offered: self.sim.battery.offered().value(),
-            wasted: self.sim.battery.wasted().value(),
-            undersupplied: self.sim.battery.undersupplied().value(),
-            delivered: self.sim.battery.delivered().value(),
-            compute_energy: self.compute_energy,
-            jobs_done: self.sim.board.jobs_done(),
-            dropped: self.sim.board.dropped(),
+            offered: books.offered,
+            wasted: books.wasted,
+            undersupplied: books.undersupplied,
+            delivered: books.delivered,
+            compute_energy: books.compute_energy,
+            jobs_done: books.jobs_done,
+            dropped: books.dropped,
             mean_latency: latency.mean(),
             max_latency: latency.max,
             initial_battery: self.initial_battery,
-            final_battery: self.sim.battery.level().value(),
+            final_battery: books.level,
+            broker: sim.topology.as_ref().map(TopologyRuntime::stats),
             slots: self.slots,
-            broker: self.sim.topology.as_ref().map(TopologyRuntime::stats),
         }
     }
 
@@ -672,12 +608,12 @@ impl ActiveRun {
 
     /// The configured horizon in slots.
     pub fn total_slots(&self) -> u64 {
-        self.total_slots
+        self.sim.board.total_slots() as u64
     }
 
     /// Whether the configured horizon is exhausted.
     pub fn is_done(&self) -> bool {
-        self.next_slot >= self.total_slots
+        self.next_slot >= self.total_slots()
     }
 
     /// The slot length τ (s).
@@ -687,19 +623,18 @@ impl ActiveRun {
 
     /// The battery's true level (J) — ground truth, not the gauge.
     pub fn battery_level_j(&self) -> f64 {
-        self.sim.battery.level().value()
+        self.sim.board.level(0)
     }
 
     /// The battery's current usable window `(C_min, C_max)` in J
     /// (fades shrink `C_max` mid-run).
     pub fn battery_limits_j(&self) -> (f64, f64) {
-        let limits = self.sim.battery.limits();
-        (limits.c_min.value(), limits.c_max.value())
+        self.sim.board.window(0)
     }
 
     /// Jobs currently queued on the board.
     pub fn backlog(&self) -> usize {
-        self.sim.board.backlog()
+        self.sim.board.backlog(0)
     }
 
     /// Energy delivered to the board in the last completed slot (J).
@@ -739,7 +674,7 @@ impl ActiveRun {
         let tau = self.sim.platform.tau;
         let (c_min, c_max) = self.battery_limits_j();
         let draw = self.used_last.value();
-        let mut level = self.sim.battery.level().value();
+        let mut level = self.sim.board.level(0);
         let mut out = Vec::with_capacity(horizon as usize);
         for ahead in 0..horizon {
             let t = seconds((self.next_slot + ahead) as f64 * tau.value());
@@ -754,7 +689,7 @@ impl ActiveRun {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::events::ScheduleGenerator;
     use crate::source::TraceSource;
@@ -763,7 +698,7 @@ mod tests {
     use dpm_core::units::{joules, volts, Hertz};
 
     /// Always-on governor at a fixed point.
-    struct Pinned(OperatingPoint);
+    pub(crate) struct Pinned(pub(crate) OperatingPoint);
     impl Governor for Pinned {
         fn name(&self) -> &str {
             "pinned"
@@ -790,7 +725,8 @@ mod tests {
         PowerSeries::constant(seconds(4.8), 12, v).unwrap()
     }
 
-    fn sim(rate: f64) -> Simulation {
+    /// PAMA under the half-sunlit orbit, `rate` events/s, 8 J to start.
+    pub(crate) fn sim(rate: f64) -> Simulation {
         Simulation::new(
             Platform::pama(),
             Box::new(TraceSource::new(charging())),

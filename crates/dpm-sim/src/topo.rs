@@ -12,18 +12,19 @@
 //!   in dependency order, cascades provider faults to a legal degraded
 //!   configuration, and walks the board down to its minimum legal state
 //!   when the governor's fallback budget is exhausted. Chips whose rail
-//!   element is down are physically unpowered on the [`PamaBoard`].
+//!   element is down are physically unpowered ([`Rails::powered`]).
 //! - [`TopologyMode::Flat`] — the pre-broker strawman: topology-blind
 //!   positional activation. A faulted provider takes only *itself* dark;
 //!   dependent chips keep drawing power while serving nothing
-//!   ([`PamaBoard::set_impaired`]), and the emitted `broker.level` trace
+//!   ([`Rails::impaired`]), and the emitted `broker.level` trace
 //!   shows children powered above a dead provider — exactly the
 //!   topology-legality violation `dpm-trace`'s audit flags.
 //!
 //! Both modes emit the same self-describing `broker.*` telemetry, so the
-//! campaign's flat and broker arms are audit-comparable.
+//! campaign's flat and broker arms are audit-comparable. The governed run
+//! imposes the resulting [`Rails`] on the board at each slot's
+//! reconciliation and at each mid-slot element fault.
 
-use crate::board::PamaBoard;
 use crate::error::SimError;
 use crate::stats::BrokerStats;
 use dpm_broker::BrokerError;
@@ -115,8 +116,34 @@ impl TopologyMode {
     }
 }
 
+/// Per-chip rail state a topology imposes on the board, one bit per chip
+/// (bits past the board's chip count are ignored).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rails {
+    /// Chips with supply-rail power.
+    pub powered: u32,
+    /// Chips that draw their commanded power but serve nothing (flat
+    /// governance above a dead provider).
+    pub impaired: u32,
+}
+
+impl Rails {
+    /// Every rail up, nothing impaired: a board without a topology.
+    pub const NOMINAL: Self = Self {
+        powered: u32::MAX,
+        impaired: 0,
+    };
+}
+
+/// Set or clear bit `chip` of `word` (chips past 32 do not exist).
+fn set_bit(word: &mut u32, chip: usize, on: bool) {
+    if chip < 32 {
+        *word = (*word & !(1 << chip)) | (u32::from(on) << chip);
+    }
+}
+
 /// Per-slot bridge between a [`Broker`] (or flat strawman) and the
-/// physical [`PamaBoard`] rails. Owned by `Simulation` when a topology is
+/// board's chip [`Rails`]. Owned by `Simulation` when a topology is
 /// attached ([`crate::sim::Simulation::with_topology`]).
 #[derive(Debug, Clone)]
 pub struct TopologyRuntime {
@@ -131,6 +158,8 @@ pub struct TopologyRuntime {
     /// copy; this one also drives gauge staleness and flat impairment).
     faulted: Vec<bool>,
     flat_counts: BrokerCounts,
+    /// Rail state mirrored from the element levels.
+    rails: Rails,
     telemetry: Recorder,
     slot: u64,
     time: f64,
@@ -183,6 +212,7 @@ impl TopologyRuntime {
             flat_level: vec![0; n],
             faulted: vec![false; n],
             flat_counts: BrokerCounts::default(),
+            rails: Rails::NOMINAL,
             telemetry,
             slot: 0,
             time: 0.0,
@@ -200,6 +230,12 @@ impl TopologyRuntime {
     #[must_use]
     pub fn is_terminal(&self) -> bool {
         self.broker.as_ref().is_some_and(Broker::is_terminal)
+    }
+
+    /// The chip rail state the board must run under.
+    #[must_use]
+    pub fn rails(&self) -> Rails {
+        self.rails
     }
 
     /// Current element levels (broker truth, or the flat policy's claim).
@@ -225,8 +261,9 @@ impl TopologyRuntime {
     }
 
     /// Govern one slot: reconcile worker demand (`commanded` workers)
-    /// against element faults, mirror rail state onto the board, and
-    /// return how many worker chips actually have power. `exhausted`
+    /// against element faults, mirror the element levels into
+    /// [`Self::rails`], and return how many worker chips actually have
+    /// power. `exhausted`
     /// (the governor's fallback budget is spent) triggers the one-time
     /// terminal-shutdown walk in broker mode.
     ///
@@ -239,13 +276,12 @@ impl TopologyRuntime {
         time: Seconds,
         commanded: usize,
         exhausted: bool,
-        board: &mut PamaBoard,
     ) -> Result<usize, SimError> {
         self.slot = slot;
         self.time = time.value();
         match self.mode {
-            TopologyMode::Broker => self.broker_slot(slot, time, commanded, exhausted, board),
-            TopologyMode::Flat => Ok(self.flat_slot(commanded, time, board)),
+            TopologyMode::Broker => self.broker_slot(slot, time, commanded, exhausted),
+            TopologyMode::Flat => Ok(self.flat_slot(commanded)),
         }
     }
 
@@ -255,7 +291,6 @@ impl TopologyRuntime {
         time: Seconds,
         commanded: usize,
         exhausted: bool,
-        board: &mut PamaBoard,
     ) -> Result<usize, SimError> {
         let Some(br) = self.broker.as_mut() else {
             return Ok(0);
@@ -295,11 +330,11 @@ impl TopologyRuntime {
             }
             br.sync();
         }
-        // Mirror rail truth onto the physical board.
+        // Mirror rail truth onto the board's rails.
         let mut granted = 0usize;
         for (i, &el) in EL_WORKERS.iter().enumerate() {
             let up = br.level(el).unwrap_or(0) >= 1;
-            board.set_powered(i + 1, up, time);
+            set_bit(&mut self.rails.powered, i + 1, up);
             if up {
                 granted += 1;
             }
@@ -307,7 +342,7 @@ impl TopologyRuntime {
         Ok(granted.min(commanded))
     }
 
-    fn flat_slot(&mut self, commanded: usize, time: Seconds, board: &mut PamaBoard) -> usize {
+    fn flat_slot(&mut self, commanded: usize) -> usize {
         // Topology-blind: infrastructure runs whenever its own element is
         // healthy; the command activates the first n worker slots
         // positionally, never consulting providers.
@@ -344,19 +379,20 @@ impl TopologyRuntime {
                 self.flat_apply(e, want[e], Cause::Grant);
             }
         }
-        self.flat_board_sync(board, time)
+        self.flat_rails_sync()
     }
 
-    /// Mirror flat levels onto the board: dead worker rails are unpowered;
+    /// Mirror flat levels onto the rails: dead worker rails are unpowered;
     /// powered chips above a broken provider chain are impaired — they
     /// draw active power and serve nothing. Returns powered worker count.
-    fn flat_board_sync(&mut self, board: &mut PamaBoard, time: Seconds) -> usize {
+    fn flat_rails_sync(&mut self) -> usize {
         let mut granted = 0usize;
         for (i, &el) in EL_WORKERS.iter().enumerate() {
             let chip = i + 1;
             let up = self.flat_level[el] >= 1;
-            board.set_powered(chip, up, time);
-            board.set_impaired(chip, up && self.chain_faulted(el));
+            let impaired = up && self.chain_faulted(el);
+            set_bit(&mut self.rails.powered, chip, up);
+            set_bit(&mut self.rails.impaired, chip, impaired);
             if up {
                 granted += 1;
             }
@@ -367,8 +403,9 @@ impl TopologyRuntime {
     /// Inject a fail-stop fault on `element` (out-of-range is ignored —
     /// fault plans are data, not code). Broker mode cascades dependents
     /// to a legal configuration immediately; flat mode takes only the
-    /// element itself dark and leaves dependents drawing power.
-    pub fn fault(&mut self, element: usize, at: Seconds, board: &mut PamaBoard) {
+    /// element itself dark and leaves dependents drawing power. Either
+    /// way [`Self::rails`] reflects the fault at once.
+    pub fn fault(&mut self, element: usize, at: Seconds) {
         if element >= self.topo.len() {
             return;
         }
@@ -382,7 +419,7 @@ impl TopologyRuntime {
                     let _ = br.fault(element, at.value());
                     for (i, &el) in EL_WORKERS.iter().enumerate() {
                         if br.level(el).unwrap_or(0) == 0 {
-                            board.set_powered(i + 1, false, at);
+                            set_bit(&mut self.rails.powered, i + 1, false);
                         }
                     }
                 }
@@ -401,7 +438,7 @@ impl TopologyRuntime {
                         &[("element", element as f64), ("dropped", 1.0)],
                     );
                 }
-                self.flat_board_sync(board, at);
+                self.flat_rails_sync();
             }
         }
     }
@@ -520,12 +557,12 @@ fn declare(topo: &Topology, telemetry: &Recorder) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpm_core::platform::Platform;
     use dpm_core::units::seconds;
 
-    fn board() -> PamaBoard {
-        PamaBoard::new(Platform::pama())
-    }
+    /// Rail bits of the worker chips on each ring domain.
+    const RING_A: u32 = 0b0001_1110;
+    const RING_B: u32 = 0b1110_0000;
+    const WORKERS: u32 = RING_A | RING_B;
 
     #[test]
     fn pama_topology_matches_the_element_constants() {
@@ -543,24 +580,19 @@ mod tests {
 
     #[test]
     fn broker_mode_cuts_dependent_rails_on_a_provider_fault() {
-        let mut board = board();
         let mut rt = TopologyRuntime::new(TopologyMode::Broker, Recorder::disabled()).unwrap();
-        let granted = rt
-            .begin_slot(0, seconds(0.0), 7, false, &mut board)
-            .unwrap();
+        let granted = rt.begin_slot(0, seconds(0.0), 7, false).unwrap();
         assert_eq!(granted, 7);
-        assert!((1..8).all(|c| board.is_powered(c)));
+        assert_eq!(rt.rails().powered & WORKERS, WORKERS);
 
-        rt.fault(EL_RING_A, seconds(0.5), &mut board);
+        rt.fault(EL_RING_A, seconds(0.5));
         // Chips 1–4 (ring A) lose their rails immediately and legally.
-        assert!((1..5).all(|c| !board.is_powered(c)));
-        assert!((5..8).all(|c| board.is_powered(c)));
+        assert_eq!(rt.rails().powered & RING_A, 0);
+        assert_eq!(rt.rails().powered & RING_B, RING_B);
         let t = pama_topology().unwrap();
         assert!(t.violation(rt.levels()).is_none());
 
-        let granted = rt
-            .begin_slot(1, seconds(3.6), 7, false, &mut board)
-            .unwrap();
+        let granted = rt.begin_slot(1, seconds(3.6), 7, false).unwrap();
         assert_eq!(granted, 3, "only ring-B workers are servable");
         assert!(rt.stats().cascades >= 1);
         assert_eq!(rt.stats().mode, "broker");
@@ -568,18 +600,19 @@ mod tests {
 
     #[test]
     fn flat_mode_keeps_children_powered_above_a_dead_provider() {
-        let mut board = board();
         let mut rt = TopologyRuntime::new(TopologyMode::Flat, Recorder::disabled()).unwrap();
-        let granted = rt
-            .begin_slot(0, seconds(0.0), 7, false, &mut board)
-            .unwrap();
+        let granted = rt.begin_slot(0, seconds(0.0), 7, false).unwrap();
         assert_eq!(granted, 7);
 
-        rt.fault(EL_RING_A, seconds(0.5), &mut board);
+        rt.fault(EL_RING_A, seconds(0.5));
         // The blind policy leaves chips 1–4 on their (dead) ring: powered,
         // drawing, serving nothing — and the level trace is illegal.
-        assert!((1..5).all(|c| board.is_powered(c) && board.is_impaired(c)));
-        assert!((5..8).all(|c| board.is_powered(c) && !board.is_impaired(c)));
+        let rails = rt.rails();
+        assert_eq!(rails.powered & rails.impaired & RING_A, RING_A);
+        assert_eq!(
+            (rails.powered & RING_B, rails.impaired & RING_B),
+            (RING_B, 0)
+        );
         let t = pama_topology().unwrap();
         let (child, provider) = t.violation(rt.levels()).expect("flat violates legality");
         assert_eq!(provider, EL_RING_A);
@@ -587,25 +620,22 @@ mod tests {
 
         // Recovery clears the impairment at the next slot.
         rt.recover(EL_RING_A, seconds(3.0));
-        rt.begin_slot(1, seconds(3.6), 7, false, &mut board)
-            .unwrap();
-        assert!((1..8).all(|c| !board.is_impaired(c)));
+        rt.begin_slot(1, seconds(3.6), 7, false).unwrap();
+        assert_eq!(rt.rails().impaired & WORKERS, 0);
         assert!(t.violation(rt.levels()).is_none());
     }
 
     #[test]
     fn exhausted_governor_triggers_terminal_shutdown_once() {
-        let mut board = board();
         let mut rt = TopologyRuntime::new(TopologyMode::Broker, Recorder::disabled()).unwrap();
-        rt.begin_slot(0, seconds(0.0), 5, false, &mut board)
-            .unwrap();
-        let granted = rt.begin_slot(1, seconds(3.6), 5, true, &mut board).unwrap();
+        rt.begin_slot(0, seconds(0.0), 5, false).unwrap();
+        let granted = rt.begin_slot(1, seconds(3.6), 5, true).unwrap();
         assert_eq!(granted, 0);
         assert!(rt.is_terminal());
-        assert!((1..8).all(|c| !board.is_powered(c)));
+        assert_eq!(rt.rails().powered & WORKERS, 0);
         assert_eq!(rt.stats().terminal_shutdowns, 1);
         // Final: later slots change nothing.
-        let granted = rt.begin_slot(2, seconds(7.2), 5, true, &mut board).unwrap();
+        let granted = rt.begin_slot(2, seconds(7.2), 5, true).unwrap();
         assert_eq!(granted, 0);
         assert_eq!(rt.stats().terminal_shutdowns, 1);
     }
@@ -613,36 +643,29 @@ mod tests {
     #[test]
     fn gauge_goes_stale_when_its_provider_chain_faults() {
         for mode in [TopologyMode::Flat, TopologyMode::Broker] {
-            let mut board = board();
             let mut rt = TopologyRuntime::new(mode, Recorder::disabled()).unwrap();
-            rt.begin_slot(0, seconds(0.0), 3, false, &mut board)
-                .unwrap();
+            rt.begin_slot(0, seconds(0.0), 3, false).unwrap();
             assert!(rt.gauge_powered(), "{mode:?}");
-            rt.fault(EL_SENSOR_BUS, seconds(0.5), &mut board);
+            rt.fault(EL_SENSOR_BUS, seconds(0.5));
             assert!(!rt.gauge_powered(), "{mode:?}");
             rt.recover(EL_SENSOR_BUS, seconds(1.0));
             // Broker restores wait out dwell (1 slot); flat is back at the
             // next reconciliation.
-            rt.begin_slot(1, seconds(3.6), 3, false, &mut board)
-                .unwrap();
-            rt.begin_slot(2, seconds(7.2), 3, false, &mut board)
-                .unwrap();
+            rt.begin_slot(1, seconds(3.6), 3, false).unwrap();
+            rt.begin_slot(2, seconds(7.2), 3, false).unwrap();
             assert!(rt.gauge_powered(), "{mode:?}");
         }
     }
 
     #[test]
     fn blocked_demand_burns_the_bounded_retry_budget() {
-        let mut board = board();
         let mut rt = TopologyRuntime::new(TopologyMode::Broker, Recorder::disabled()).unwrap();
-        rt.begin_slot(0, seconds(0.0), 7, false, &mut board)
-            .unwrap();
-        rt.fault(EL_RING_A, seconds(0.5), &mut board);
+        rt.begin_slot(0, seconds(0.0), 7, false).unwrap();
+        rt.fault(EL_RING_A, seconds(0.5));
         // Demand 7 with only 3 servable: overflow lands on ring-A workers
         // and retries until abandoned.
         for s in 1..32 {
-            rt.begin_slot(s, seconds(3.6 * s as f64), 7, false, &mut board)
-                .unwrap();
+            rt.begin_slot(s, seconds(3.6 * s as f64), 7, false).unwrap();
         }
         let stats = rt.stats();
         assert!(stats.retries > 0);

@@ -4,7 +4,8 @@
 use dpm_core::platform::BatteryLimits;
 use dpm_core::prelude::*;
 use dpm_core::series::PowerSeries;
-use dpm_core::units::{joules, seconds, Joules};
+use dpm_core::units::{joules, seconds};
+use dpm_sim::battery::kernel;
 use dpm_sim::prelude::*;
 use proptest::prelude::*;
 
@@ -12,37 +13,42 @@ fn limits() -> BatteryLimits {
     BatteryLimits::new(joules(0.5), joules(16.0)).unwrap()
 }
 
+fn window() -> (f64, f64) {
+    (limits().c_min.value(), limits().c_max.value())
+}
+
 proptest! {
     /// Battery conservation: offered = stored delta + wasted + (losses),
-    /// and delivered = demanded − undersupplied, for any op sequence.
+    /// and delivered = demanded − undersupplied, for any op sequence run
+    /// through the engine's charge/draw kernels.
     #[test]
     fn battery_accounting_balances(
         ops in prop::collection::vec((any::<bool>(), 0.0f64..6.0), 1..64),
         initial in 0.5f64..16.0,
     ) {
-        let mut b = Battery::new(BatteryConfig::ideal(limits()), joules(initial)).unwrap();
-        let start = b.level().value();
+        let (c_min, c_max) = window();
+        let mut level = limits().clamp(joules(initial)).value();
+        let start = level;
+        let (mut offered, mut wasted, mut undersupplied, mut delivered) = (0.0, 0.0, 0.0, 0.0);
         let mut demanded = 0.0;
         for (is_charge, amount) in ops {
             if is_charge {
-                b.charge(joules(amount));
+                kernel::charge(&mut level, &mut offered, &mut wasted, c_max, 1.0, amount);
             } else {
                 demanded += amount;
-                b.draw(joules(amount));
+                kernel::draw(&mut level, &mut undersupplied, &mut delivered, c_min, amount);
             }
         }
-        let stored_delta = b.level().value() - start;
+        let stored_delta = level - start;
         // offered = stored gain + wasted + delivered-from-offer… with an
         // ideal battery: offered − wasted = stored_delta + delivered.
-        let lhs = b.offered().value() - b.wasted().value();
-        let rhs = stored_delta + b.delivered().value();
+        let lhs = offered - wasted;
+        let rhs = stored_delta + delivered;
         prop_assert!((lhs - rhs).abs() < 1e-9, "{lhs} vs {rhs}");
         // Undersupplied is exactly the unmet demand.
-        prop_assert!(
-            (b.delivered().value() + b.undersupplied().value() - demanded).abs() < 1e-9
-        );
+        prop_assert!((delivered + undersupplied - demanded).abs() < 1e-9);
         // Level always inside [0, C_max].
-        prop_assert!(b.level() >= Joules::ZERO && b.level() <= joules(16.0));
+        prop_assert!((0.0..=c_max).contains(&level));
     }
 
     /// Battery level never leaves [C_min-floor, C_max] under draw, and
@@ -51,12 +57,14 @@ proptest! {
     fn battery_window_is_invariant(
         charges in prop::collection::vec(0.0f64..10.0, 1..32),
     ) {
-        let mut b = Battery::new(BatteryConfig::ideal(limits()), joules(8.0)).unwrap();
+        let (c_min, c_max) = window();
+        let mut level = 8.0;
+        let (mut offered, mut wasted, mut undersupplied, mut delivered) = (0.0, 0.0, 0.0, 0.0);
         for c in charges {
-            b.charge(joules(c));
-            prop_assert!(b.level() <= joules(16.0));
-            b.draw(joules(c * 0.7));
-            prop_assert!(b.level() >= joules(0.5) - joules(1e-12));
+            kernel::charge(&mut level, &mut offered, &mut wasted, c_max, 1.0, c);
+            prop_assert!(level <= c_max);
+            kernel::draw(&mut level, &mut undersupplied, &mut delivered, c_min, c * 0.7);
+            prop_assert!(level >= c_min - 1e-12);
         }
     }
 
@@ -298,6 +306,72 @@ proptest! {
                 Err(e) => prop_assert!(!e.to_string().is_empty()),
             },
             Err(e) => prop_assert!(!e.to_string().is_empty()),
+        }
+    }
+}
+
+/// Compute energy per completed job, and the jobs completed, on the
+/// fixed-3.3 V PAMA board pinned at `workers` × `mhz` for `periods`, with
+/// ample supply (10 W against a 4.37 W peak draw) and a queue that never
+/// drains (a full backlog at t = 0, then 20 events/s).
+fn energy_per_job(workers: usize, mhz: f64, periods: usize) -> (f64, u64) {
+    let platform = Platform::pama();
+    let constant = |v| PowerSeries::constant(platform.tau, 12, v).unwrap();
+    let source = TraceSource::new(constant(10.0));
+    let events = ScheduleGenerator::new(constant(20.0));
+    let config = SimConfig {
+        periods,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulation::new(
+        platform.clone(),
+        Box::new(source),
+        Box::new(events),
+        joules(16.0),
+        config,
+    )
+    .unwrap();
+    sim.schedule(seconds(0.0), Disturbance::EventBurst { count: 256 });
+    let point = OperatingPoint::new(workers, Hertz::from_mhz(mhz), volts(3.3));
+    let report = sim.run(&mut Pinned(point)).unwrap();
+    assert_eq!(report.undersupplied, 0.0, "supply must be ample");
+    assert!(report.slots.iter().all(|s| s.backlog > 0), "queue drained");
+    (
+        report.compute_energy / report.jobs_done as f64,
+        report.jobs_done,
+    )
+}
+
+/// Snippet 3 on the simulator (Eq. 5 at fixed V): with every chip active,
+/// board power and throughput are both linear in f, so compute energy per
+/// job does not depend on f. The only slack is the head job's partial
+/// progress, which `jobs_done` does not count: `1/jobs_done` relative.
+#[test]
+fn compute_energy_per_job_is_frequency_independent_with_every_worker_on() {
+    let runs = [20.0, 40.0, 80.0].map(|f| energy_per_job(7, f, 4));
+    for (a, a_jobs) in runs {
+        for (b, b_jobs) in runs {
+            let slack = a.max(b) / a_jobs.min(b_jobs) as f64;
+            assert!((a - b).abs() <= slack + 1e-12, "{a} vs {b} J/job");
+        }
+    }
+}
+
+/// With fewer workers on, the standby chips' floor is static energy,
+/// which Snippet 3 says does not cancel: spread over more jobs per second,
+/// it makes energy per job fall as f rises, by more than the head job's
+/// partial progress can blur.
+#[test]
+fn compute_energy_per_job_falls_with_frequency_when_chips_idle() {
+    for workers in 1..7 {
+        let runs = [20.0, 40.0, 80.0].map(|f| energy_per_job(workers, f, 20));
+        for pair in runs.windows(2) {
+            let ((slow, slow_jobs), (fast, fast_jobs)) = (pair[0], pair[1]);
+            let blur = slow / slow_jobs as f64 + fast / fast_jobs as f64;
+            assert!(
+                slow - fast > blur,
+                "{workers} workers: {slow} vs {fast} J/job"
+            );
         }
     }
 }

@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 
 /// Default initial-charge jitter band: boards start between half and
 /// 1.25× the scenario's nominal charge (the fleet core clamps into the
-/// battery window, exactly as the scalar battery does).
+/// battery window, exactly as a governed run does).
 pub const CHARGE_JITTER: (f64, f64) = (0.5, 1.25);
 
 /// Population-diversity knobs for [`fleet_specs`].
